@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import Dataset, FeatureVector, clock_hour
+from .ingest import Dataset, clock_hour
 
 log = logging.getLogger(__name__)
 
@@ -71,9 +71,9 @@ class AttackSpec:
             raise ValueError("period must be >= 1")
 
 
-def default_spec(attack_type: str, seed: int = 0, **overrides) -> AttackSpec:
+def default_spec(attack_type: str, seed: int = 0) -> AttackSpec:
     low, high = DEFAULT_FACTORS[attack_type]
-    return AttackSpec(attack_type, low, high, seed=seed, **overrides)
+    return AttackSpec(attack_type, low, high, seed=seed)
 
 
 @dataclasses.dataclass
@@ -170,22 +170,6 @@ def apply_attack(series: Series, spec: AttackSpec) -> LabeledSeries:
                     attacked[i] = series.values[i] * factor
                     labels[i] = True
     return LabeledSeries(series, attacked, labels, spec)
-
-
-def apply_t1(series: Series, spec: AttackSpec) -> LabeledSeries:
-    return apply_attack(series, dataclasses.replace(spec, attack_type="t1"))
-
-
-def apply_t2(series: Series, spec: AttackSpec) -> LabeledSeries:
-    return apply_attack(series, dataclasses.replace(spec, attack_type="t2"))
-
-
-def apply_t3(series: Series, spec: AttackSpec) -> LabeledSeries:
-    return apply_attack(series, dataclasses.replace(spec, attack_type="t3"))
-
-
-def apply_t4(series: Series, spec: AttackSpec) -> LabeledSeries:
-    return apply_attack(series, dataclasses.replace(spec, attack_type="t4"))
 
 
 @dataclasses.dataclass
@@ -291,14 +275,3 @@ def corpus_csv_rows(corpus: Corpus) -> Iterable[list]:
                 corpus.seed,
             ]
 
-
-def variant_rows(variant: CorpusVariant, attributes_source: Dataset) -> list[FeatureVector]:
-    """Rebuild feature vectors for a variant with attacked consumption values."""
-    ls = variant.labeled
-    s = ls.base
-    lookup = {(r.date, r.interval): r for r in attributes_source.rows}
-    rows = []
-    for i in range(len(s)):
-        base_row = lookup[(s.dates[i], s.intervals[i])]
-        rows.append(dataclasses.replace(base_row, consumption=float(ls.attacked[i])))
-    return rows

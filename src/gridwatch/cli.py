@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import datetime as dt
 import json
 import os
 import sys
@@ -28,12 +29,13 @@ from pathlib import Path
 from . import attacks as atk
 from . import scenario as scn
 from .detect import NbhDetectorState, ShDetectorState, nbh_step, sh_step
-from .errors import GridwatchError, ScenarioError, UserInputError
-from .ingest import (Dataset, build_nbh_dataset, build_sh_dataset, clean_dataset,
-                     feature_vector, open_raw, parse_raw, read_dataset_csv,
-                     split_train_validation, write_dataset_csv, write_labeled_csv,
-                     write_removed_csv)
+from .errors import GridwatchError, ScenarioError, SequencingError, UserInputError
+from .ingest import (Dataset, FeatureVector, build_nbh_dataset, build_sh_dataset,
+                     clean_dataset, feature_vector, group_by_meter, open_raw, parse_raw,
+                     read_dataset_csv, split_train_validation, write_dataset_csv,
+                     write_labeled_csv, write_removed_csv)
 from .manifest import write_manifest
+from .synth import synth_readings
 from .trees import deserialize, serialize, to_text, train_model_tree, train_rep_tree
 
 ENV_SEED = "GRIDWATCH_SEED"
@@ -54,6 +56,11 @@ def _write_csv(path: Path, rows) -> None:
         writer = csv.writer(fh)
         for row in rows:
             writer.writerow(row)
+
+
+def _write_table(path: Path, header: list[str], records) -> None:
+    """A CSV of dict records, one column per header key."""
+    _write_csv(path, [header] + [[r[k] for k in header] for r in records])
 
 
 def _missing(path: Path, what: str) -> None:
@@ -78,37 +85,20 @@ def cmd_ingest(args) -> int:
         raise UserInputError(
             f"{len(parsed.issues)} malformed line(s) exceed --max-bad-lines={args.max_bad_lines}")
 
-    per_meter: dict[int, list] = {}
-    for r in parsed.readings:
-        per_meter.setdefault(r.meter_id, []).append(r)
+    per_meter = group_by_meter(parsed.readings)
     if args.meter is not None:
         if args.meter not in per_meter:
             raise UserInputError(f"meter {args.meter} not present in {raw_path}")
         per_meter = {args.meter: per_meter[args.meter]}
 
-    datasets_dir = out / "datasets"
+    # one meter at a time: built, written and dropped before the next
     removed_total = 0
-    for meter_id in sorted(per_meter):
-        ds, _report = build_sh_dataset(per_meter[meter_id], args.include_day_period)
-        ds, removed = clean_dataset(ds)
-        removed_total += len(removed)
-        write_dataset_csv(ds, datasets_dir / f"sh_{meter_id}.csv")
-        write_removed_csv("SH", meter_id, removed, datasets_dir / f"removed_sh_{meter_id}.csv")
-        if args.split:
-            train, valid = split_train_validation(ds, seed)
-            write_dataset_csv(train, out / "splits" / f"sh_{meter_id}_train.csv")
-            write_dataset_csv(valid, out / "splits" / f"sh_{meter_id}_valid.csv")
-
+    for meter_id, readings in per_meter.items():
+        ds, _report = build_sh_dataset(readings, args.include_day_period)
+        removed_total += _write_datasets(ds, out, f"sh_{meter_id}", args.split, seed)
     nbh_source = parsed.readings if args.meter is None else per_meter[args.meter]
     nbh, _report = build_nbh_dataset(nbh_source)
-    nbh, removed = clean_dataset(nbh)
-    removed_total += len(removed)
-    write_dataset_csv(nbh, datasets_dir / "nbh.csv")
-    write_removed_csv("NBH", None, removed, datasets_dir / "removed_nbh.csv")
-    if args.split:
-        train, valid = split_train_validation(nbh, seed)
-        write_dataset_csv(train, out / "splits" / "nbh_train.csv")
-        write_dataset_csv(valid, out / "splits" / "nbh_valid.csv")
+    removed_total += _write_datasets(nbh, out, "nbh", args.split, seed)
 
     write_manifest(out, "ingest", {
         "raw": str(raw_path), "meter": args.meter, "split": args.split,
@@ -118,6 +108,19 @@ def cmd_ingest(args) -> int:
     print(f"ingest: {len(parsed.readings)} readings, {len(parsed.issues)} bad line(s), "
           f"{len(per_meter)} meter(s), {removed_total} outlier row(s) removed -> {out}")
     return 0
+
+
+def _write_datasets(ds: Dataset, out: Path, stem: str, split: bool, seed: int) -> int:
+    """Clean a dataset, then write it, its removed rows and optionally its
+    train/validation split; returns the number of rows removed."""
+    ds, removed = clean_dataset(ds)
+    write_dataset_csv(ds, out / "datasets" / f"{stem}.csv")
+    write_removed_csv(ds.level, ds.meter_id, removed, out / "datasets" / f"removed_{stem}.csv")
+    if split:
+        train, valid = split_train_validation(ds, seed)
+        write_dataset_csv(train, out / "splits" / f"{stem}_train.csv")
+        write_dataset_csv(valid, out / "splits" / f"{stem}_valid.csv")
+    return len(removed)
 
 
 # ---------------------------------------------------------------------------
@@ -144,37 +147,31 @@ def cmd_train(args) -> int:
                             args.smoothing, seed=seed)
     t0 = time.perf_counter()
 
-    report_rows = [scn.TRAINING_REPORT_HEADER]
-    trained = 0
+    report_rows = []
+
+    def save(stem: str, meter_key, model) -> None:
+        (models_dir / f"{stem}.amim").write_bytes(serialize(model))
+        if args.dump_text:
+            (models_dir / f"{stem}.txt").write_text(to_text(model) + "\n")
+        report_rows.append(scn.model_report_row(meter_key, model))
+
     if args.level in ("sh", "both"):
         stems = sorted(p.name[:-len("_train.csv")] for p in splits_dir.glob("sh_*_train.csv"))
         if not stems:
             raise UserInputError(f"missing SH split datasets under {splits_dir}")
         for stem in stems:
             train, valid = _load_split(splits_dir, stem, args.include_day_period)
-            model = train_model_tree(train, params, valid=valid)
-            (models_dir / f"{stem}.amim").write_bytes(serialize(model))
-            if args.dump_text:
-                (models_dir / f"{stem}.txt").write_text(to_text(model) + "\n")
-            row = scn.model_report_row(train.meter_id, model)
-            report_rows.append([row[k] for k in scn.TRAINING_REPORT_HEADER])
-            trained += 1
+            save(stem, train.meter_id, train_model_tree(train, params, valid=valid))
     if args.level in ("nbh", "both"):
         train, valid = _load_split(splits_dir, "nbh", args.include_day_period)
-        model = train_rep_tree(train, params, valid=valid)
-        (models_dir / "nbh.amim").write_bytes(serialize(model))
-        if args.dump_text:
-            (models_dir / "nbh.txt").write_text(to_text(model) + "\n")
-        row = scn.model_report_row("NBH", model)
-        report_rows.append([row[k] for k in scn.TRAINING_REPORT_HEADER])
-        trained += 1
+        save("nbh", "NBH", train_rep_tree(train, params, valid=valid))
 
-    _write_csv(out / "training_report.csv", report_rows)
+    _write_table(out / "training_report.csv", scn.TRAINING_REPORT_HEADER, report_rows)
     write_manifest(out, "train", {
         "data": str(data), "level": args.level, "min_instances": args.min_instances,
         "prune_fraction": args.prune_fraction, "smoothing": args.smoothing,
     }, seed, [str(data)], {"train": time.perf_counter() - t0})
-    print(f"train: {trained} model(s) -> {models_dir}")
+    print(f"train: {len(report_rows)} model(s) -> {models_dir}")
     return 0
 
 
@@ -201,14 +198,8 @@ def cmd_attack(args) -> int:
         raise UserInputError(f"missing validation datasets under {splits_dir}")
 
     corpus = atk.generate_corpus(sh_valid, nbh_valid, mix, seed)
-    sh_rows = [r for r in atk.corpus_csv_rows(
-        atk.Corpus([v for v in corpus.variants if v.level == "SH"], seed))]
-    nbh_rows = [r for r in atk.corpus_csv_rows(
-        atk.Corpus([v for v in corpus.variants if v.level == "NBH"], seed))]
-    if sh_valid:
-        _write_csv(out / "corpus_sh.csv", sh_rows)
-    if nbh_valid is not None:
-        _write_csv(out / "corpus_nbh.csv", nbh_rows)
+    levels = (["SH"] if sh_valid else []) + (["NBH"] if nbh_valid is not None else [])
+    _write_corpora(out, corpus, levels)
 
     write_manifest(out, "attack", {"data": str(data), "attack": args.attack},
                    seed, [str(data)], {"attack": time.perf_counter() - t0})
@@ -216,18 +207,33 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _write_corpora(out: Path, corpus: atk.Corpus, levels=("SH", "NBH")) -> None:
+    """One corpus CSV per monitoring level: corpus_sh.csv, corpus_nbh.csv."""
+    for level in levels:
+        variants = [v for v in corpus.variants if v.level == level]
+        _write_csv(out / f"corpus_{level.lower()}.csv",
+                   atk.corpus_csv_rows(atk.Corpus(variants, corpus.seed)))
+
+
 # ---------------------------------------------------------------------------
 # detect
 
-def _corpus_streams(path: Path):
-    """Group corpus CSV rows into (meter_id, attack_type) replay streams."""
-    streams: dict[tuple, list] = {}
+def _corpus_streams(path: Path, kind: str) -> list[tuple[tuple, list[FeatureVector]]]:
+    """Corpus CSV rows as (meter_id, attack_type) replay streams of attacked
+    observations, in replay order."""
+    streams: dict[tuple, list[FeatureVector]] = {}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            meter_id = int(rec["meter_id"]) if rec["meter_id"] else None
-            key = (meter_id, rec["attack_type"])
-            streams.setdefault(key, []).append(rec)
-    return streams
+        reader = csv.DictReader(fh)
+        try:
+            for rec in reader:
+                meter_id = int(rec["meter_id"]) if rec["meter_id"] else None
+                streams.setdefault((meter_id, rec["attack_type"]), []).append(feature_vector(
+                    dt.date.fromisoformat(rec["date"]), int(rec["interval"]), kind,
+                    float(rec["attacked_kwh"])))
+        except (KeyError, ValueError) as exc:
+            raise UserInputError(f"malformed corpus {path} at line {reader.line_num}: "
+                                 f"missing column or bad value {exc}") from exc
+    return sorted(streams.items(), key=lambda kv: (kv[0][0] or 0, kv[0][1]))
 
 
 def cmd_detect(args) -> int:
@@ -237,53 +243,41 @@ def cmd_detect(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
 
+    if args.corpus:
+        stream_path = Path(args.corpus)
+        _missing(stream_path, "corpus file")
+        level = args.level
+        streams = _corpus_streams(stream_path, "hour" if level == "sh" else "slot")
+    else:
+        stream_path = Path(args.dataset)
+        _missing(stream_path, "dataset file")
+        ds = read_dataset_csv(stream_path)
+        level = "sh" if ds.level == "SH" else "nbh"
+        streams = [((ds.meter_id, "none"), sorted(ds.rows, key=lambda r: (r.date, r.interval)))]
+
+    step = sh_step if level == "sh" else nbh_step
     alerts = []
     states = []
-    if args.corpus:
-        corpus_path = Path(args.corpus)
-        _missing(corpus_path, "corpus file")
-        kind = "hour" if args.level == "sh" else "slot"
-        for (meter_id, attack_type), recs in sorted(
-                _corpus_streams(corpus_path).items(),
-                key=lambda kv: (kv[0][0] or 0, kv[0][1])):
-            state = _make_state(models_dir, args.level, meter_id, args.nbr_incr,
-                                args.n_window, args.counter_mode)
-            states.append((args.level.upper(), meter_id, state))
-            step = sh_step if args.level == "sh" else nbh_step
-            for rec in recs:
-                fv = feature_vector(
-                    _date(rec["date"]), int(rec["interval"]), kind, float(rec["attacked_kwh"]))
+    for (meter_id, attack_type), rows in streams:
+        state = _make_state(models_dir, level, meter_id, args.nbr_incr,
+                            args.n_window, args.counter_mode)
+        states.append(state)
+        try:
+            for fv in rows:
                 event = step(state, fv)
                 if event is not None:
                     alerts.append((attack_type, event))
-    else:
-        dataset_path = Path(args.dataset)
-        _missing(dataset_path, "dataset file")
-        ds = read_dataset_csv(dataset_path)
-        level = "sh" if ds.level == "SH" else "nbh"
-        state = _make_state(models_dir, level, ds.meter_id, args.nbr_incr,
-                            args.n_window, args.counter_mode)
-        states.append((ds.level, ds.meter_id, state))
-        step = sh_step if level == "sh" else nbh_step
-        for fv in sorted(ds.rows, key=lambda r: (r.date, r.interval)):
-            event = step(state, fv)
-            if event is not None:
-                alerts.append(("none", event))
+        except SequencingError as exc:
+            raise UserInputError(f"bad stream in {stream_path}: {exc}") from exc
 
     log_path = out / "alerts.jsonl"
-    with open(log_path, "w") as fh:
-        for attack_type, event in alerts:
-            obj = event.to_json_obj()
-            obj["attack_type"] = attack_type
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
+    _write_alerts(log_path, alerts)
     # routed rows, in the dataset schema plus a label column
-    level = states[0][0] if states else "SH"
-    suspect_rows = [fv for _, _, st in states for fv in st.suspects]
-    benign_rows = [fv for _, _, st in states for fv in st.benign_buffer]
-    meter = states[0][1] if len(states) == 1 else None
-    write_labeled_csv(level, meter, suspect_rows, "suspect", out / "suspects.csv")
-    write_labeled_csv(level, meter, benign_rows, "benign", out / "benign.csv")
+    meter = streams[0][0][0] if len(streams) == 1 else None
+    write_labeled_csv(level.upper(), meter, [fv for st in states for fv in st.suspects],
+                      "suspect", out / "suspects.csv")
+    write_labeled_csv(level.upper(), meter, [fv for st in states for fv in st.benign_buffer],
+                      "benign", out / "benign.csv")
     write_manifest(out, "detect", {
         "models": str(models_dir), "corpus": args.corpus, "dataset": args.dataset,
         "level": args.level, "nbr_incr": args.nbr_incr, "n_window": args.n_window,
@@ -293,13 +287,17 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _date(text: str):
-    import datetime as dt
-    return dt.date.fromisoformat(text)
+def _write_alerts(path: Path, alerts) -> None:
+    """alerts.jsonl: one event per line, tagged with its stream's attack type."""
+    with open(path, "w") as fh:
+        for attack_type, event in alerts:
+            obj = event.to_json_obj()
+            obj["attack_type"] = attack_type
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _make_state(models_dir: Path, level: str, meter_id, nbr_incr: int, n_window: int,
-                mode: str = "windowed"):
+                mode: str):
     if level == "sh":
         path = models_dir / f"sh_{meter_id}.amim"
         _missing(path, f"model for meter {meter_id}")
@@ -340,25 +338,14 @@ def cmd_simulate(args) -> int:
     for (level, attack_type), points in sorted(result.roc.items()):
         rows = [["fpr", "tpr"]] + [[repr(x), repr(y)] for x, y in points]
         _write_csv(out / f"roc_{level.lower()}_{attack_type}.csv", rows)
-    with open(out / "alerts.jsonl", "w") as fh:
-        for attack_type, event in result.alerts:
-            obj = event.to_json_obj()
-            obj["attack_type"] = attack_type
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    _write_alerts(out / "alerts.jsonl", result.alerts)
+    _write_corpora(out, result.corpus)
 
-    sh_corpus = atk.Corpus([v for v in result.corpus.variants if v.level == "SH"], cfg.seed)
-    nbh_corpus = atk.Corpus([v for v in result.corpus.variants if v.level == "NBH"], cfg.seed)
-    _write_csv(out / "corpus_sh.csv", atk.corpus_csv_rows(sh_corpus))
-    _write_csv(out / "corpus_nbh.csv", atk.corpus_csv_rows(nbh_corpus))
-
-    rows = [scn.TRAINING_REPORT_HEADER]
-    rows += [[r[k] for k in scn.TRAINING_REPORT_HEADER] for r in result.training_rows]
-    _write_csv(out / "training_report.csv", rows)
+    _write_table(out / "training_report.csv", scn.TRAINING_REPORT_HEADER, result.training_rows)
 
     t0 = time.perf_counter()
     bench = _run_benchmark(cfg, args.benchmark_meters)
-    rows = [scn.BENCHMARK_HEADER] + [[r[k] for k in scn.BENCHMARK_HEADER] for r in bench]
-    _write_csv(out / "model_benchmark.csv", rows)
+    _write_table(out / "model_benchmark.csv", scn.BENCHMARK_HEADER, bench)
     result.timings["benchmark"] = time.perf_counter() - t0
 
     write_manifest(out, "simulate", cfg.to_json_obj(), cfg.seed,
@@ -373,17 +360,10 @@ def cmd_simulate(args) -> int:
 def _run_benchmark(cfg: scn.ScenarioConfig, n_meters: int):
     if n_meters <= 0:
         return []
-    from .synth import synth_readings
-    readings = list(synth_readings(cfg.profile, min(n_meters, cfg.nb_sh), cfg.weeks, cfg.seed))
-    per_meter: dict[int, list] = {}
-    for r in readings:
-        per_meter.setdefault(r.meter_id, []).append(r)
-    splits = {}
-    for meter_id in sorted(per_meter):
-        ds, _ = build_sh_dataset(per_meter[meter_id], cfg.include_day_period)
-        ds, _ = clean_dataset(ds)
-        splits[meter_id] = split_train_validation(ds, cfg.seed)
-    return scn.benchmark_models(splits, ["rep_tree", "model_tree"], cfg.tree_params())
+    readings = synth_readings(cfg.profile, min(n_meters, cfg.nb_sh), cfg.weeks, cfg.seed)
+    sh, _removed = scn.clean_sh_datasets(scn.build_sh_datasets(readings, cfg.include_day_period))
+    return scn.benchmark_models(scn.split_sh_datasets(sh, cfg.seed), ["rep_tree", "model_tree"],
+                                cfg.tree_params())
 
 
 # ---------------------------------------------------------------------------

@@ -65,22 +65,13 @@ class AlertEvent:
         }
 
 
-class ShDetectorState:
-    """Per-meter detector state; confined to a single logical stream."""
+class _DetectorState:
+    """State shared by both levels: the model/pe pair, routed rows, order key
+    and the optional retraining context."""
 
-    def __init__(self, meter_id: int, model: TreeModel, pe: float | None = None,
-                 nbr_incr: int = DEFAULT_NBR_INCR, n_window: int = DEFAULT_N_WINDOW,
-                 mode: str = "windowed"):
-        if mode not in ("windowed", "lifetime"):
-            raise ValueError(f"unknown counter mode {mode!r}")
-        self.meter_id = meter_id
+    def __init__(self, model: TreeModel):
         # model and pe swap together; readers unpack the tuple once per step
-        self._model_pe = (model, model.trained_rmse if pe is None else pe)
-        self.nbr_incr = nbr_incr
-        self.n_window = n_window
-        self.mode = mode
-        self.window: deque[bool] = deque(maxlen=n_window)
-        self.lifetime_counter = 0
+        self._model_pe = (model, model.trained_rmse)
         self.benign_buffer: list[FeatureVector] = []
         self.suspects: list[FeatureVector] = []
         self.alerts: list[AlertEvent] = []
@@ -97,36 +88,32 @@ class ShDetectorState:
     def pe(self) -> float:
         return self._model_pe[1]
 
+    def swap_model(self, model: TreeModel, pe: float) -> None:
+        self._model_pe = (model, pe)
+
+
+class ShDetectorState(_DetectorState):
+    """Per-meter detector state; confined to a single logical stream."""
+
+    def __init__(self, meter_id: int, model: TreeModel, nbr_incr: int = DEFAULT_NBR_INCR,
+                 n_window: int = DEFAULT_N_WINDOW, mode: str = "windowed"):
+        if mode not in ("windowed", "lifetime"):
+            raise ValueError(f"unknown counter mode {mode!r}")
+        super().__init__(model)
+        self.meter_id = meter_id
+        self.nbr_incr = nbr_incr
+        self.n_window = n_window
+        self.mode = mode
+        self.window: deque[bool] = deque(maxlen=n_window)
+        self.lifetime_counter = 0
+
     @property
     def counter(self) -> int:
         return sum(self.window)
 
-    def swap_model(self, model: TreeModel, pe: float) -> None:
-        self._model_pe = (model, pe)
 
-
-class NbhDetectorState:
+class NbhDetectorState(_DetectorState):
     """Neighborhood detector state (no counter: single-interval test)."""
-
-    def __init__(self, model: TreeModel, pe: float | None = None):
-        self._model_pe = (model, model.trained_rmse if pe is None else pe)
-        self.benign_buffer: list[FeatureVector] = []
-        self.suspects: list[FeatureVector] = []
-        self.alerts: list[AlertEvent] = []
-        self._last_key: tuple[dt.date, int] | None = None
-        self.history: Dataset | None = None
-        self.params: TreeParams | None = None
-
-    @property
-    def model(self) -> TreeModel:
-        return self._model_pe[0]
-
-    @property
-    def pe(self) -> float:
-        return self._model_pe[1]
-
-    def swap_model(self, model: TreeModel, pe: float) -> None:
-        self._model_pe = (model, pe)
 
 
 def _check_order(state, fv: FeatureVector) -> None:
@@ -211,19 +198,15 @@ class DecisionMaker:
     def __init__(self, nb_sh: int, confirm: Callable[[AlertEvent], bool] | None = None):
         self.nb_sh = nb_sh
         self.confirm = confirm
-        self.events: list[AlertEvent] = []
         self.attack_store: list[FeatureVector] = []
         self.benign_store: list[FeatureVector] = []
 
     def tick(self, date: dt.date, slot: int, nacr: bool, nb_alert: int,
-             samples: Sequence[FeatureVector] = (),
-             observed: float = 0.0, predicted: float = 0.0) -> AlertEvent | None:
+             samples: Sequence[FeatureVector] = ()) -> AlertEvent | None:
         if not decide(nacr, nb_alert, self.nb_sh):
             self.benign_store.extend(samples)
             return None
-        event = AlertEvent("attack_confirmed", None, date, slot, "slot",
-                           observed, predicted, 0.0)
-        self.events.append(event)
+        event = AlertEvent("attack_confirmed", None, date, slot, "slot", 0.0, 0.0, 0.0)
         confirmed = self.confirm(event) if self.confirm is not None else True
         if confirmed:
             self.attack_store.extend(samples)

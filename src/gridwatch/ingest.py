@@ -18,12 +18,13 @@ import dataclasses
 import datetime as dt
 import gzip
 import logging
+import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ContractViolation, RangeError, SplitError
+from .errors import ContractViolation, RangeError, SplitError, UserInputError
 
 log = logging.getLogger(__name__)
 
@@ -84,14 +85,13 @@ class Dataset:
     meter_id: int | None            # None for NBH
     rows: list[FeatureVector]
     attributes: tuple[str, ...]     # model-input attributes, in declared order
-    provenance: str = ""
 
     @property
     def interval_kind(self) -> str:
         return "hour" if self.level == "SH" else "slot"
 
     def replace_rows(self, rows: list[FeatureVector]) -> "Dataset":
-        return Dataset(self.level, self.meter_id, rows, self.attributes, self.provenance)
+        return Dataset(self.level, self.meter_id, rows, self.attributes)
 
 
 @dataclasses.dataclass
@@ -127,7 +127,10 @@ def decode_timestamp(code: int) -> tuple[dt.date, int]:
     day_code, slot = divmod(code, 100)
     if not 1 <= slot <= SLOTS_PER_DAY:
         raise RangeError(f"slot {slot} outside 1..{SLOTS_PER_DAY} in code {code}")
-    return EPOCH + dt.timedelta(days=day_code - 1), slot
+    try:
+        return EPOCH + dt.timedelta(days=day_code - 1), slot
+    except OverflowError:
+        raise RangeError(f"day code {day_code} beyond the last calendar date") from None
 
 
 def clock_hour(interval: int, kind: str) -> int:
@@ -154,16 +157,10 @@ def season_of_month(month: int) -> str:
     return "autumn"
 
 
-def derive_features(
-    date: dt.date,
-    interval: int,
-    kind: str = "hour",
-    day_start: int = DAY_START_HOUR,
-    day_end: int = DAY_END_HOUR,
-) -> tuple[str, str, int, str]:
+def derive_features(date: dt.date, interval: int, kind: str = "hour") -> tuple[str, str, int, str]:
     """Return (day_period, day_type, month, season) for a date and interval."""
     ch = clock_hour(interval, kind)
-    day_period = "day" if day_start <= ch <= day_end else "night"
+    day_period = "day" if DAY_START_HOUR <= ch <= DAY_END_HOUR else "night"
     day_type = "weekend" if date.weekday() >= 5 else "weekday"
     return day_period, day_type, date.month, season_of_month(date.month)
 
@@ -199,6 +196,9 @@ def parse_raw(lines: Iterable[str]) -> ParseResult:
         if meter_id <= 0:
             issues.append(ParseIssue(line_no, f"meter id {meter_id} not positive", line))
             continue
+        if not math.isfinite(kwh):
+            issues.append(ParseIssue(line_no, f"non-finite consumption {fields[2]!r}", line))
+            continue
         if kwh < 0:
             issues.append(ParseIssue(line_no, f"negative consumption {kwh}", line))
             continue
@@ -224,10 +224,12 @@ def open_raw(path: str | Path) -> Iterator[str]:
             yield from fh
 
 
-def _provenance(rows: list[FeatureVector]) -> str:
-    if not rows:
-        return ""
-    return f"{min(r.date for r in rows).isoformat()}..{max(r.date for r in rows).isoformat()}"
+def group_by_meter(readings: Iterable[MeterReading]) -> dict[int, list[MeterReading]]:
+    """Each meter's readings in input order, keyed and ordered by meter id."""
+    per_meter: dict[int, list[MeterReading]] = {}
+    for r in readings:
+        per_meter.setdefault(r.meter_id, []).append(r)
+    return dict(sorted(per_meter.items()))
 
 
 def build_sh_dataset(
@@ -269,7 +271,7 @@ def build_sh_dataset(
                 flagged.append((date, hour))
 
     attributes = SH_ATTRIBUTES_WITH_DAY_PERIOD if include_day_period else SH_ATTRIBUTES
-    ds = Dataset("SH", meter_id, rows, attributes, _provenance(rows))
+    ds = Dataset("SH", meter_id, rows, attributes)
     return ds, BuildReport(flagged, duplicates)
 
 
@@ -300,7 +302,7 @@ def build_nbh_dataset(readings: Iterable[MeterReading]) -> tuple[Dataset, BuildR
         if len(per_meter) < len(all_meters):
             flagged.append((date, slot))
 
-    ds = Dataset("NBH", None, rows, NBH_ATTRIBUTES, _provenance(rows))
+    ds = Dataset("NBH", None, rows, NBH_ATTRIBUTES)
     return ds, BuildReport(flagged, duplicates)
 
 
@@ -381,74 +383,43 @@ def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     return ds.replace_rows(train_rows), ds.replace_rows(valid_rows)
 
 
-def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
+def _write_rows(path: str | Path, level: str, meter_id: int | None,
+                rows: Iterable[FeatureVector], label: str | None = None) -> None:
+    """Write rows in the dataset schema, plus a trailing label column if given.
+
+    The header is pinned: the ``interval`` column holds the interval kind
+    ("hour" for SH, "slot" for NBH) and ``hour_or_slot`` holds its number.
+    """
+    kind = "hour" if level == "SH" else "slot"
+    meter = "" if meter_id is None else meter_id
+    header, tail = DATASET_CSV_HEADER, []
+    if label is not None:
+        header, tail = header + ["label"], [label]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DATASET_CSV_HEADER)
-        for row in ds.rows:
-            writer.writerow([
-                ds.level,
-                "" if ds.meter_id is None else ds.meter_id,
-                row.date.isoformat(),
-                ds.interval_kind,
-                row.interval,
-                row.day_period,
-                row.day_type,
-                row.month,
-                row.season,
-                repr(row.consumption),
-            ])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([level, meter, row.date.isoformat(), kind, row.interval,
+                             row.day_period, row.day_type, row.month, row.season,
+                             repr(row.consumption), *tail])
+
+
+def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
+    _write_rows(path, ds.level, ds.meter_id, ds.rows)
 
 
 def write_removed_csv(level: str, meter_id: int | None, removed: list[FeatureVector],
                       path: str | Path) -> None:
     """Persist the cleaning report (removed rows) in the dataset schema."""
-    interval_kind = "hour" if level == "SH" else "slot"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_CSV_HEADER)
-        for row in removed:
-            writer.writerow([
-                level,
-                "" if meter_id is None else meter_id,
-                row.date.isoformat(),
-                interval_kind,
-                row.interval,
-                row.day_period,
-                row.day_type,
-                row.month,
-                row.season,
-                repr(row.consumption),
-            ])
+    _write_rows(path, level, meter_id, removed)
 
 
 def write_labeled_csv(level: str, meter_id: int | None, rows: list[FeatureVector],
                       label: str, path: str | Path) -> None:
     """Dataset schema plus a trailing label column (suspect/attack/benign)."""
-    interval_kind = "hour" if level == "SH" else "slot"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_CSV_HEADER + ["label"])
-        for row in rows:
-            writer.writerow([
-                level,
-                "" if meter_id is None else meter_id,
-                row.date.isoformat(),
-                interval_kind,
-                row.interval,
-                row.day_period,
-                row.day_type,
-                row.month,
-                row.season,
-                repr(row.consumption),
-                label,
-            ])
+    _write_rows(path, level, meter_id, rows, label)
 
 
 def read_dataset_csv(path: str | Path, include_day_period: bool = False) -> Dataset:
@@ -457,20 +428,24 @@ def read_dataset_csv(path: str | Path, include_day_period: bool = False) -> Data
     meter_id: int | None = None
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for rec in reader:
-            level = rec["level"]
-            meter_id = int(rec["meter_id"]) if rec["meter_id"] else None
-            rows.append(FeatureVector(
-                date=dt.date.fromisoformat(rec["date"]),
-                interval=int(rec["hour_or_slot"]),
-                day_period=rec["day_period"],
-                day_type=rec["day_type"],
-                month=int(rec["month"]),
-                season=rec["season"],
-                consumption=float(rec["consumption_kwh"]),
-            ))
+        try:
+            for rec in reader:
+                level = rec["level"]
+                meter_id = int(rec["meter_id"]) if rec["meter_id"] else None
+                rows.append(FeatureVector(
+                    date=dt.date.fromisoformat(rec["date"]),
+                    interval=int(rec["hour_or_slot"]),
+                    day_period=rec["day_period"],
+                    day_type=rec["day_type"],
+                    month=int(rec["month"]),
+                    season=rec["season"],
+                    consumption=float(rec["consumption_kwh"]),
+                ))
+        except (KeyError, ValueError) as exc:
+            raise UserInputError(f"malformed dataset {path} at line {reader.line_num}: "
+                                 f"missing column or bad value {exc}") from exc
     if level == "NBH":
         attributes = NBH_ATTRIBUTES
     else:
         attributes = SH_ATTRIBUTES_WITH_DAY_PERIOD if include_day_period else SH_ATTRIBUTES
-    return Dataset(level, meter_id, rows, attributes, _provenance(rows))
+    return Dataset(level, meter_id, rows, attributes)

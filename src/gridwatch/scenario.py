@@ -35,12 +35,12 @@ from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorStat
                      nbh_step, sh_step)
 from .errors import ScenarioError
 from .ingest import (Dataset, MeterReading, ParseResult, build_nbh_dataset,
-                     build_sh_dataset, clean_dataset, feature_vector, open_raw,
-                     parse_raw, split_train_validation)
+                     build_sh_dataset, clean_dataset, feature_vector, group_by_meter,
+                     open_raw, parse_raw, split_train_validation)
 from .metrics import rates_from_counts, roc_curve
 from .synth import SynthProfile, synth_raw_lines
-from .trees import (TreeModel, TreeParams, count_leaves, evaluate, predict,
-                    serialize, train_model_tree, train_rep_tree, tree_depth)
+from .trees import (TreeModel, TreeParams, count_leaves, predict, serialize,
+                    train_model_tree, train_rep_tree, tree_depth)
 
 SUMMARY_HEADER = ["level", "attack_type", "rmse", "rmse_a", "ac", "tpr", "fpr", "tnr", "fnr"]
 BENCHMARK_HEADER = ["dataset", "algorithm", "mae", "rmse", "train_seconds", "model_bytes",
@@ -114,13 +114,10 @@ class ScenarioConfig:
 
 @dataclasses.dataclass
 class ScenarioResult:
-    config: ScenarioConfig
     report: dict
     alerts: list[tuple[str, AlertEvent]]  # (replayed stream's attack type, event)
     roc: dict[tuple[str, str], list[tuple[float, float]]]
     corpus: atk.Corpus
-    sh_models: dict[int, TreeModel]
-    nbh_model: TreeModel
     training_rows: list[dict]
     timings: dict[str, float]
 
@@ -161,10 +158,6 @@ def train_sh_fleet(splits: dict[int, tuple[Dataset, Dataset]], params: TreeParam
             meter_id, model = _train_sh_worker(task)
             models[meter_id] = model
     return dict(sorted(models.items()))
-
-
-def _margins(model: TreeModel, pe: float, rows: Sequence) -> np.ndarray:
-    return np.array([fv.consumption - (predict(model, fv) + pe) for fv in rows])
 
 
 @dataclasses.dataclass
@@ -235,13 +228,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     training_rows.append(model_report_row("NBH", nbh_model))
 
     return ScenarioResult(
-        config=cfg,
         report=report,
         alerts=detection["alerts"],
         roc=roc_points,
         corpus=corpus,
-        sh_models=sh_models,
-        nbh_model=nbh_model,
         training_rows=training_rows,
         timings=timings,
     )
@@ -255,32 +245,36 @@ def _ingest(cfg: ScenarioConfig) -> ParseResult:
     return parse_raw(lines)
 
 
+def build_sh_datasets(readings: Iterable[MeterReading],
+                      include_day_period: bool) -> dict[int, Dataset]:
+    """One hourly dataset per meter, keyed and ordered by meter id."""
+    return {m: build_sh_dataset(rs, include_day_period)[0]
+            for m, rs in group_by_meter(readings).items()}
+
+
+def clean_sh_datasets(sh: dict[int, Dataset]) -> tuple[dict[int, Dataset], int]:
+    """Clean every meter's dataset; returns them with the removed-row count."""
+    cleaned = {m: clean_dataset(ds) for m, ds in sh.items()}
+    return ({m: ds for m, (ds, _) in cleaned.items()},
+            sum(len(removed) for _, removed in cleaned.values()))
+
+
+def split_sh_datasets(sh: dict[int, Dataset], seed: int) -> dict[int, tuple[Dataset, Dataset]]:
+    return {m: split_train_validation(ds, seed) for m, ds in sh.items()}
+
+
 def _build(readings: list[MeterReading], cfg: ScenarioConfig):
-    per_meter: dict[int, list[MeterReading]] = {}
-    for r in readings:
-        per_meter.setdefault(r.meter_id, []).append(r)
-    sh = {m: build_sh_dataset(per_meter[m], cfg.include_day_period)[0]
-          for m in sorted(per_meter)}
-    nbh = build_nbh_dataset(readings)[0]
-    return sh, nbh
+    return build_sh_datasets(readings, cfg.include_day_period), build_nbh_dataset(readings)[0]
 
 
 def _clean(sh: dict[int, Dataset], nbh: Dataset):
-    removed_counts = {"sh": 0, "nbh": 0}
-    sh_clean = {}
-    for m in sorted(sh):
-        ds, removed = clean_dataset(sh[m])
-        sh_clean[m] = ds
-        removed_counts["sh"] += len(removed)
-    nbh_clean, removed = clean_dataset(nbh)
-    removed_counts["nbh"] = len(removed)
-    return sh_clean, nbh_clean, removed_counts
+    sh_clean, sh_removed = clean_sh_datasets(sh)
+    nbh_clean, nbh_removed = clean_dataset(nbh)
+    return sh_clean, nbh_clean, {"sh": sh_removed, "nbh": len(nbh_removed)}
 
 
 def _split(sh: dict[int, Dataset], nbh: Dataset, seed: int):
-    sh_splits = {m: split_train_validation(sh[m], seed) for m in sorted(sh)}
-    nbh_split = split_train_validation(nbh, seed)
-    return sh_splits, nbh_split
+    return split_sh_datasets(sh, seed), split_train_validation(nbh, seed)
 
 
 def _train(sh_splits, nbh_split, cfg: ScenarioConfig):
@@ -523,23 +517,17 @@ def _fmt(v) -> str:
 
 def benchmark_models(splits: dict, algorithms: Sequence[str],
                      params: TreeParams | None = None) -> list[dict]:
-    """Train each algorithm on each split and tabulate cost and accuracy."""
+    """Train each algorithm on each split and tabulate cost and accuracy.
+
+    Training on the split's validation part stamps the validation MAE and
+    RMSE on the model, so the report row carries them without a re-evaluation.
+    """
     params = params or TreeParams()
     trainers = {"rep_tree": train_rep_tree, "model_tree": train_model_tree}
     rows: list[dict] = []
     for key in sorted(splits):
         train, valid = splits[key]
         for algorithm in algorithms:
-            model = trainers[algorithm](train, params, valid=valid)
-            scores = evaluate(model, valid)
-            rows.append({
-                "dataset": key,
-                "algorithm": algorithm,
-                "mae": scores["mae"],
-                "rmse": scores["rmse"],
-                "train_seconds": model.training_meta["train_seconds"],
-                "model_bytes": len(serialize(model)),
-                "leaves": count_leaves(model.root),
-                "depth": tree_depth(model.root),
-            })
+            row = model_report_row(key, trainers[algorithm](train, params, valid=valid))
+            rows.append({"dataset": key, "algorithm": algorithm, **row})
     return rows

@@ -8,7 +8,7 @@ zero. With noise_sd = 0 every value is an exact deterministic function of
 (meter, day type, day of year, slot).
 
 Output is emitted as raw text lines (meter id, 5-digit code, kWh) so
-ingestion is exercised end to end; day codes start on a Monday by default
+ingestion is exercised end to end; day codes start on a Monday
 so week-based splitting needs no alignment fudge.
 """
 
@@ -61,8 +61,8 @@ def expected_kwh(profile: SynthProfile, scale: float, date: dt.date, slot: int) 
     return shape * scale * seasonal
 
 
-def synth_readings(profile: SynthProfile, nb_sh: int, weeks: int, seed: int,
-                   start_day_code: int = DEFAULT_START_DAY_CODE) -> Iterator[MeterReading]:
+def synth_readings(profile: SynthProfile, nb_sh: int, weeks: int,
+                   seed: int) -> Iterator[MeterReading]:
     """Yield readings for nb_sh meters over the given number of weeks."""
     if nb_sh < 1:
         raise ValueError("nb_sh must be >= 1")
@@ -71,7 +71,7 @@ def synth_readings(profile: SynthProfile, nb_sh: int, weeks: int, seed: int,
     n_days = weeks * 7
     for meter_id in range(1, nb_sh + 1):
         scale = meter_scale(profile, seed, meter_id)
-        for day_code in range(start_day_code, start_day_code + n_days):
+        for day_code in range(DEFAULT_START_DAY_CODE, DEFAULT_START_DAY_CODE + n_days):
             date = EPOCH + dt.timedelta(days=day_code - 1)
             if profile.noise_sd > 0:
                 rng = np.random.default_rng(np.random.SeedSequence((seed, meter_id, day_code)))
@@ -83,8 +83,8 @@ def synth_readings(profile: SynthProfile, nb_sh: int, weeks: int, seed: int,
                 yield MeterReading(meter_id, day_code, slot, kwh)
 
 
-def synth_raw_lines(profile: SynthProfile, nb_sh: int, weeks: int, seed: int,
-                    start_day_code: int = DEFAULT_START_DAY_CODE) -> Iterator[str]:
+def synth_raw_lines(profile: SynthProfile, nb_sh: int, weeks: int,
+                    seed: int) -> Iterator[str]:
     """The same readings rendered in the raw three-field wire format."""
-    for r in synth_readings(profile, nb_sh, weeks, seed, start_day_code):
+    for r in synth_readings(profile, nb_sh, weeks, seed):
         yield f"{r.meter_id} {encode_timestamp(r.day_code, r.slot):05d} {r.kwh:.6f}"

@@ -297,12 +297,14 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
 # ---------------------------------------------------------------------------
 # growing
 
-def _split_indices(cand: _Candidate, X: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = X[idx, cand.attr_index]
-    if cand.kind == "numeric":
-        mask = v <= cand.threshold
+def _split_indices(split: _Candidate | Split, X: np.ndarray,
+                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Partition the rows idx into the left and right sides of a split."""
+    v = X[idx, split.attr_index]
+    if split.kind == "numeric":
+        mask = v <= split.threshold
     else:
-        mask = np.isin(v, list(cand.subset))
+        mask = np.isin(v, list(split.subset))
     return idx[mask], idx[~mask]
 
 
@@ -343,11 +345,7 @@ def _route(node: Split, x: np.ndarray) -> Node:
         return node.right
     # unseen category: follow the majority child
     log.debug("routing unseen %s code %s to majority child", node.attribute, v)
-    return node.left if _node_n(node.left) >= _node_n(node.right) else node.right
-
-
-def _node_n(node: Node) -> int:
-    return node.n
+    return node.left if node.left.n >= node.right.n else node.right
 
 
 def count_leaves(node: Node) -> int:
@@ -370,17 +368,8 @@ def _subtree_sse(node: Node, X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> f
         return 0.0
     if isinstance(node, Leaf):
         return float(((y[idx] - node.value) ** 2).sum())
-    l_idx, r_idx = _rep_route_indices(node, X, idx)
+    l_idx, r_idx = _split_indices(node, X, idx)
     return _subtree_sse(node.left, X, y, l_idx) + _subtree_sse(node.right, X, y, r_idx)
-
-
-def _rep_route_indices(node: Split, X: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = X[idx, node.attr_index]
-    if node.kind == "numeric":
-        mask = v <= node.threshold
-    else:
-        mask = np.isin(v, list(node.subset))
-    return idx[mask], idx[~mask]
 
 
 def _rep_prune(node: Node, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
@@ -388,7 +377,7 @@ def _rep_prune(node: Node, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     """Bottom-up reduced-error pruning; returns (pruned node, holdout SSE)."""
     if isinstance(node, Leaf):
         return node, _subtree_sse(node, X, y, idx)
-    l_idx, r_idx = _rep_route_indices(node, X, idx)
+    l_idx, r_idx = _split_indices(node, X, idx)
     node.left, sse_l = _rep_prune(node.left, X, y, l_idx, tracker)
     node.right, sse_r = _rep_prune(node.right, X, y, r_idx, tracker)
     sse_subtree = sse_l + sse_r
@@ -484,21 +473,20 @@ def _fit_linear(D: np.ndarray, y: np.ndarray, idx: np.ndarray) -> tuple[LinearMo
     if yv.min() == yv.max():
         # constant target: lstsq would only add rounding noise
         return LinearModel(float(yv[0]), (0.0,) * D.shape[1]), 0.0, 1, False
-    if n <= p_full:
-        mean = float(yv.mean())
-        resid = yv - mean
-        return LinearModel(mean, (0.0,) * D.shape[1]), float(np.sqrt((resid ** 2).mean())), 1, True
-    A = np.hstack([np.ones((n, 1)), D[idx]])
-    try:
-        coef, _, _, _ = np.linalg.lstsq(A, yv, rcond=None)
-    except np.linalg.LinAlgError:
-        mean = float(yv.mean())
-        resid = yv - mean
-        return LinearModel(mean, (0.0,) * D.shape[1]), float(np.sqrt((resid ** 2).mean())), 1, True
-    resid = yv - A @ coef
-    rmse = float(np.sqrt((resid ** 2).mean()))
-    model = LinearModel(float(coef[0]), tuple(float(c) for c in coef[1:]))
-    return model, rmse, p_full, False
+    if n > p_full:
+        A = np.hstack([np.ones((n, 1)), D[idx]])
+        try:
+            coef, _, _, _ = np.linalg.lstsq(A, yv, rcond=None)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            resid = yv - A @ coef
+            rmse = float(np.sqrt((resid ** 2).mean()))
+            model = LinearModel(float(coef[0]), tuple(float(c) for c in coef[1:]))
+            return model, rmse, p_full, False
+    mean = float(yv.mean())
+    resid = yv - mean
+    return LinearModel(mean, (0.0,) * D.shape[1]), float(np.sqrt((resid ** 2).mean())), 1, True
 
 
 def _inflated(rmse: float, n: int, p: int) -> float:
@@ -517,7 +505,7 @@ def _m5_prune(node: Node, X: np.ndarray, D: np.ndarray, y: np.ndarray,
     if isinstance(node, Leaf):
         node.model = model
         return node, est_here
-    l_idx, r_idx = _rep_route_indices(node, X, idx)
+    l_idx, r_idx = _split_indices(node, X, idx)
     node.left, est_l = _m5_prune(node.left, X, D, y, l_idx, stats)
     node.right, est_r = _m5_prune(node.right, X, D, y, r_idx, stats)
     est_subtree = (l_idx.size / idx.size) * est_l + (r_idx.size / idx.size) * est_r

@@ -3,8 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gridwatch.attacks import (ATTACK_TYPES, AttackSpec, Corpus, Series,
-                               apply_attack, apply_t1, apply_t2, apply_t3, apply_t4,
+from gridwatch.attacks import (ATTACK_TYPES, AttackSpec, Corpus, Series, apply_attack,
                                corpus_csv_rows, default_spec, generate_corpus,
                                select_attack_dates, series_from_dataset)
 from gridwatch.errors import ContractViolation
@@ -44,7 +43,7 @@ PEAK_CLOCK_HOURS = {7, 8, 9, 19, 20, 21, 22}
 
 def test_t1_off_peak_hours_untouched():
     s = hourly_series(days=3, value=0.5)
-    out = apply_t1(s, default_spec("t1", seed=1))
+    out = apply_attack(s, default_spec("t1", seed=1))
     for i in range(len(s)):
         ch = clock_hour(s.intervals[i], "hour")
         if ch not in PEAK_CLOCK_HOURS:
@@ -54,7 +53,7 @@ def test_t1_off_peak_hours_untouched():
 
 def test_t1_peak_hours_scaled_within_range_and_labeled():
     s = hourly_series(days=5, value=0.5)
-    out = apply_t1(s, default_spec("t1", seed=2))
+    out = apply_attack(s, default_spec("t1", seed=2))
     hit = 0
     for i in range(len(s)):
         ch = clock_hour(s.intervals[i], "hour")
@@ -68,15 +67,15 @@ def test_t1_peak_hours_scaled_within_range_and_labeled():
 
 def test_t1_deterministic():
     s = hourly_series(days=4, value=0.7)
-    a = apply_t1(s, default_spec("t1", seed=9))
-    b = apply_t1(s, default_spec("t1", seed=9))
+    a = apply_attack(s, default_spec("t1", seed=9))
+    b = apply_attack(s, default_spec("t1", seed=9))
     assert np.array_equal(a.attacked, b.attacked)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_t3_factor_range():
     s = hourly_series(days=5, value=1.0)
-    out = apply_t3(s, default_spec("t3", seed=3))
+    out = apply_attack(s, default_spec("t3", seed=3))
     factors = out.attacked[out.labels] / s.values[out.labels]
     assert factors.min() >= 4.0 and factors.max() <= 8.0
 
@@ -84,8 +83,8 @@ def test_t3_factor_range():
 def test_t3_mean_uplift_exceeds_t1_monte_carlo():
     # E[t3 factor] = 6 vs E[t1 factor] = 2.4 over 1000 seeded days
     s = hourly_series(days=1000, value=1.0)
-    t1 = apply_t1(s, default_spec("t1", seed=7))
-    t3 = apply_t3(s, default_spec("t3", seed=7))
+    t1 = apply_attack(s, default_spec("t1", seed=7))
+    t3 = apply_attack(s, default_spec("t3", seed=7))
     assert t3.attacked[t3.labels].mean() > t1.attacked[t1.labels].mean()
     assert t1.attacked[t1.labels].mean() == pytest.approx(2.4, rel=0.05)
     assert t3.attacked[t3.labels].mean() == pytest.approx(6.0, rel=0.05)
@@ -93,7 +92,7 @@ def test_t3_mean_uplift_exceeds_t1_monte_carlo():
 
 def test_t1_applies_to_slot_series():
     s = slot_series(days=2)
-    out = apply_t1(s, default_spec("t1", seed=1))
+    out = apply_attack(s, default_spec("t1", seed=1))
     for i in range(len(s)):
         in_peak = clock_hour(s.intervals[i], "slot") in PEAK_CLOCK_HOURS
         assert out.labels[i] == in_peak
@@ -104,7 +103,7 @@ def test_t1_applies_to_slot_series():
 
 def test_t2_windows_are_contiguous_and_long_enough():
     s = hourly_series(days=50, value=0.2)
-    out = apply_t2(s, default_spec("t2", seed=11))
+    out = apply_attack(s, default_spec("t2", seed=11))
     for d in range(50):
         day = slice(d * 24, (d + 1) * 24)
         flags = out.labels[day]
@@ -117,7 +116,7 @@ def test_t2_windows_are_contiguous_and_long_enough():
 
 def test_t2_inside_window_scaled_outside_unchanged():
     s = hourly_series(days=20, value=0.2)
-    out = apply_t2(s, default_spec("t2", seed=5))
+    out = apply_attack(s, default_spec("t2", seed=5))
     inside = out.labels
     factors = out.attacked[inside] / s.values[inside]
     assert factors.min() >= 0.8 and factors.max() <= 4.0
@@ -128,7 +127,7 @@ def test_t2_rejects_unsorted_series():
     s = hourly_series(days=2)
     shuffled = Series(s.kind, s.meter_id, s.dates[::-1], s.intervals[::-1], s.values)
     with pytest.raises(ContractViolation):
-        apply_t2(shuffled, default_spec("t2"))
+        apply_attack(shuffled, default_spec("t2"))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +135,7 @@ def test_t2_rejects_unsorted_series():
 
 def test_t4_even_intervals_unchanged_odd_attacked():
     s = hourly_series(days=3, value=0.4)
-    out = apply_t4(s, default_spec("t4", seed=2))
+    out = apply_attack(s, default_spec("t4", seed=2))
     for d in range(3):
         for k in range(24):
             i = d * 24 + k
@@ -152,7 +151,7 @@ def test_t4_increases_first_difference_variance():
     rng = np.random.default_rng(0)
     base = 0.5 + 0.2 * np.sin(np.linspace(0, 40, 1008))
     s = hourly_series(days=42, values=list(base))
-    out = apply_t4(s, default_spec("t4", seed=6))
+    out = apply_attack(s, default_spec("t4", seed=6))
     var_base = np.diff(s.values).var()
     var_attacked = np.diff(out.attacked).var()
     assert var_attacked > var_base

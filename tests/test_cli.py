@@ -152,6 +152,28 @@ def test_detect_missing_model_is_user_error(ingested, tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+def test_detect_repeated_corpus_row_is_user_error(ingested, trained, tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["attack", "--data", str(ingested), "--out", str(corpus_dir),
+                 "--attack", "t3", "--seed", "13"]) == 0
+    lines = (corpus_dir / "corpus_sh.csv").read_text().splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert main(["detect", "--models", str(trained / "models"), "--corpus", str(repeated),
+                 "--level", "sh", "--out", str(tmp_path / "o")]) == 2
+    assert str(repeated) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--dataset"])
+def test_detect_missing_columns_is_user_error(trained, tmp_path, capsys, flag):
+    stream = tmp_path / "columns.csv"
+    stream.write_text("meter_id,date\n1,2009-01-05\n")
+    assert main(["detect", "--models", str(trained / "models"), flag, str(stream),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert str(stream) in capsys.readouterr().err
+
+
 def test_simulate_deterministic_and_report(tmp_path):
     cfg = {"nb_sh": 3, "weeks": 4, "seed": 5, "jobs": 1}
     config_path = tmp_path / "cfg.json"

@@ -82,11 +82,16 @@ def test_parse_reports_bad_lines_with_numbers():
         "oops 19535 0.1",      # non-numeric meter
         "1392 19536",          # missing field
         "1392 19537 -0.5",     # negative kWh
+        "1392 19538 nan",      # non-finite kWh
+        "1392 19539 inf",
+        "1392 19540 1e400",    # overflows to inf
+        "1392 400000001 0.1",  # day code past the last calendar date
     ]
     result = parse_raw(lines)
     assert len(result.readings) == 1
-    assert [i.line_no for i in result.issues] == [2, 3, 4, 5]
+    assert [i.line_no for i in result.issues] == [2, 3, 4, 5, 6, 7, 8, 9]
     assert "slot 99" in result.issues[0].message
+    assert all("non-finite" in i.message for i in result.issues[4:7])
 
 
 # ---------------------------------------------------------------------------
