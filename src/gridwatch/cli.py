@@ -34,7 +34,7 @@ from .ingest import (Dataset, FeatureVector, build_nbh_dataset, build_sh_dataset
                      clean_dataset, feature_vector, group_by_meter, open_raw, parse_raw,
                      read_dataset_csv, split_train_validation, write_dataset_csv,
                      write_labeled_csv, write_removed_csv)
-from .manifest import write_manifest
+from .manifest import write_json, write_manifest
 from .synth import synth_readings
 from .trees import deserialize, serialize, to_text, train_model_tree, train_rep_tree
 
@@ -288,12 +288,15 @@ def cmd_detect(args) -> int:
 
 
 def _write_alerts(path: Path, alerts) -> None:
-    """alerts.jsonl: one event per line, tagged with its stream's attack type."""
+    """alerts.jsonl: one event per line, tagged with its stream's attack type.
+
+    Strict JSON: a NaN or infinity raises ValueError instead of being written.
+    """
     with open(path, "w") as fh:
         for attack_type, event in alerts:
             obj = event.to_json_obj()
             obj["attack_type"] = attack_type
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _make_state(models_dir: Path, level: str, meter_id, nbr_incr: int, n_window: int,
@@ -331,9 +334,7 @@ def cmd_simulate(args) -> int:
 
     result = scn.run_scenario(cfg)
 
-    with open(out / "report.json", "w") as fh:
-        json.dump(result.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", result.report)
     _write_csv(out / "detection_summary.csv", scn.summary_rows(result.report))
     for (level, attack_type), points in sorted(result.roc.items()):
         rows = [["fpr", "tpr"]] + [[repr(x), repr(y)] for x, y in points]

@@ -116,8 +116,8 @@ class NbhDetectorState(_DetectorState):
     """Neighborhood detector state (no counter: single-interval test)."""
 
 
-def _check_order(state, fv: FeatureVector) -> None:
-    key = (fv.date, fv.interval)
+def _check_order(state, date: dt.date, interval: int) -> None:
+    key = (date, interval)
     if state._last_key is not None and key <= state._last_key:
         raise SequencingError(
             f"observation {key} not after {state._last_key}")
@@ -131,50 +131,58 @@ def sh_step(state: ShDetectorState, fv: FeatureVector) -> AlertEvent | None:
     diverted to the suspect store; every other row (including pre-alert
     exceedances) is appended to the benign buffer.
     """
-    _check_order(state, fv)
     model, pe = state._model_pe
-    predicted = predict(model, fv)
-    observed = fv.consumption
+    event = _sh_decide(state, fv.date, fv.interval, fv.consumption, predict(model, fv), pe)
+    (state.benign_buffer if event is None else state.suspects).append(fv)
+    return event
+
+
+def _sh_decide(state: ShDetectorState, date: dt.date, interval: int, observed: float,
+               predicted: float, pe: float) -> AlertEvent | None:
+    """The home detector once the prediction is known: order check,
+    exceedance, window (or lifetime) counter and alert."""
+    _check_order(state, date, interval)
     exceeded = observed > predicted + pe
 
     if state.mode == "lifetime":
         if exceeded and state.lifetime_counter > state.nbr_incr:
-            return _sh_alert(state, fv, observed, predicted, pe)
+            return _sh_alert(state, date, interval, observed, predicted, pe)
         if exceeded:
             state.lifetime_counter += 1
-        state.benign_buffer.append(fv)
         return None
 
     state.window.append(exceeded)
     if exceeded and state.counter > state.nbr_incr:
         state.window.clear()
-        return _sh_alert(state, fv, observed, predicted, pe)
-    state.benign_buffer.append(fv)
+        return _sh_alert(state, date, interval, observed, predicted, pe)
     return None
 
 
-def _sh_alert(state: ShDetectorState, fv: FeatureVector, observed: float,
+def _sh_alert(state: ShDetectorState, date: dt.date, interval: int, observed: float,
               predicted: float, pe: float) -> AlertEvent:
-    event = AlertEvent("sh_anomaly", state.meter_id, fv.date, fv.interval,
-                       "hour", observed, predicted, pe)
-    state.suspects.append(fv)
+    event = AlertEvent("sh_anomaly", state.meter_id, date, interval, "hour",
+                       observed, predicted, pe)
     state.alerts.append(event)
     return event
 
 
 def nbh_step(state: NbhDetectorState, fv: FeatureVector) -> AlertEvent | None:
     """Process the next half-hourly neighborhood total; NACR is immediate."""
-    _check_order(state, fv)
     model, pe = state._model_pe
-    predicted = predict(model, fv)
-    observed = fv.consumption
+    event = _nbh_decide(state, fv.date, fv.interval, fv.consumption, predict(model, fv), pe)
+    (state.benign_buffer if event is None else state.suspects).append(fv)
+    return event
+
+
+def _nbh_decide(state: NbhDetectorState, date: dt.date, interval: int, observed: float,
+                predicted: float, pe: float) -> AlertEvent | None:
+    """The neighborhood detector once the prediction is known: order check
+    and an immediate alert on exceedance."""
+    _check_order(state, date, interval)
     if observed > predicted + pe:
-        event = AlertEvent("nacr", None, fv.date, fv.interval, "slot",
-                           observed, predicted, pe)
-        state.suspects.append(fv)
+        event = AlertEvent("nacr", None, date, interval, "slot", observed, predicted, pe)
         state.alerts.append(event)
         return event
-    state.benign_buffer.append(fv)
     return None
 
 

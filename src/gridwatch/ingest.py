@@ -173,8 +173,9 @@ def feature_vector(date: dt.date, interval: int, kind: str, consumption: float) 
 def parse_raw(lines: Iterable[str]) -> ParseResult:
     """Parse raw text lines into readings, reporting bad lines by number.
 
-    Malformed lines are skipped and recorded as issues rather than aborting
-    the parse; blank lines are ignored.
+    The meter id must be ASCII digits and the timestamp exactly five ASCII
+    digits. Malformed lines are skipped and recorded as issues rather than
+    aborting the parse; blank lines are ignored.
     """
     readings: list[MeterReading] = []
     issues: list[ParseIssue] = []
@@ -186,18 +187,28 @@ def parse_raw(lines: Iterable[str]) -> ParseResult:
         if len(fields) != 3:
             issues.append(ParseIssue(line_no, f"expected 3 fields, got {len(fields)}", line))
             continue
+        meter_field, code_field, kwh_field = fields
+        # int() would also take signs, underscores and non-ASCII digits
+        if not (meter_field.isascii() and meter_field.isdigit()):
+            issues.append(ParseIssue(line_no, f"meter id {meter_field!r} is not ASCII digits",
+                                     line))
+            continue
+        if not (len(code_field) == 5 and code_field.isascii() and code_field.isdigit()):
+            issues.append(ParseIssue(
+                line_no, f"timestamp {code_field!r} is not 5 ASCII digits", line))
+            continue
         try:
-            meter_id = int(fields[0])
-            code = int(fields[1])
-            kwh = float(fields[2])
+            kwh = float(kwh_field)
         except ValueError as exc:
             issues.append(ParseIssue(line_no, f"non-numeric field: {exc}", line))
             continue
+        meter_id = int(meter_field)
+        code = int(code_field)
         if meter_id <= 0:
             issues.append(ParseIssue(line_no, f"meter id {meter_id} not positive", line))
             continue
         if not math.isfinite(kwh):
-            issues.append(ParseIssue(line_no, f"non-finite consumption {fields[2]!r}", line))
+            issues.append(ParseIssue(line_no, f"non-finite consumption {kwh_field!r}", line))
             continue
         if kwh < 0:
             issues.append(ParseIssue(line_no, f"negative consumption {kwh}", line))

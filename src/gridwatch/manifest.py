@@ -45,10 +45,16 @@ def write_manifest(out_dir: str | Path, command: str, config: dict, seed: int | 
         "artifacts": file_checksums(out_dir),
     }
     path = out_dir / MANIFEST_NAME
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
+
+
+def write_json(path: Path, obj) -> None:
+    """Indented, key-sorted strict JSON: a NaN or infinity raises ValueError
+    before the file is opened, instead of writing invalid JSON."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def read_manifest(out_dir: str | Path) -> dict:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import attacks as atk
 from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState,
-                     nbh_step, sh_step)
+                     _nbh_decide, _sh_decide)
 from .errors import ScenarioError
 from .ingest import (Dataset, MeterReading, ParseResult, build_nbh_dataset,
                      build_sh_dataset, clean_dataset, feature_vector, group_by_meter,
@@ -220,9 +220,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sh_splits, nbh_split = stage("split", _split, sh_clean, nbh_clean, cfg.seed)
     sh_models, nbh_model = stage("train", _train, sh_splits, nbh_split, cfg)
     corpus = stage("attack", _attack, sh_splits, nbh_split, cfg)
-    detection = stage("detect", _detect, corpus, sh_models, nbh_model, cfg)
+    predictions = stage("predict", _predict_series, corpus, sh_models, nbh_model)
+    detection = stage("detect", _detect, corpus, predictions, sh_models, nbh_model, cfg)
     report, roc_points = stage("score", _score, cfg, parsed, removed_counts,
-                               sh_models, nbh_model, corpus, detection)
+                               sh_models, nbh_model, corpus, predictions, detection)
 
     training_rows = [model_report_row(m, sh_models[m]) for m in sorted(sh_models)]
     training_rows.append(model_report_row("NBH", nbh_model))
@@ -290,12 +291,40 @@ def _attack(sh_splits, nbh_split, cfg: ScenarioConfig) -> atk.Corpus:
                                specs=cfg.attack_specs())
 
 
-def _detect(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
-            nbh_model: TreeModel, cfg: ScenarioConfig) -> dict:
+def _series_key(series: atk.Series) -> tuple[str, int | None]:
+    return series.kind, series.meter_id
+
+
+def _predict_series(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
+                    nbh_model: TreeModel) -> dict[tuple, list[float]]:
+    """The model's prediction for every row of each base series.
+
+    A prediction depends only on the calendar attributes, never on the
+    consumption, so every variant of a series (all share ``labeled.base``)
+    is scored against the same list.
+    """
+    predictions: dict[tuple, list[float]] = {}
+    for variant in corpus.variants:
+        s = variant.labeled.base
+        key = _series_key(s)
+        if key in predictions:
+            continue
+        model = nbh_model if variant.level == "NBH" else sh_models[s.meter_id]
+        predictions[key] = [predict(model, feature_vector(s.dates[i], s.intervals[i], s.kind,
+                                                          float(s.values[i])))
+                            for i in range(len(s))]
+    return predictions
+
+
+def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
+            sh_models: dict[int, TreeModel], nbh_model: TreeModel,
+            cfg: ScenarioConfig) -> dict:
     """Stateful replay of every corpus variant plus per-tick decision fusion.
 
-    Alerts are returned as (attack type of the replayed stream, event) so
-    the log records which variant fired them.
+    Each row is judged against its base series' prediction, exactly as
+    ``sh_step``/``nbh_step`` judge it. Alerts are returned as (attack type
+    of the replayed stream, event) so the log records which variant fired
+    them.
     """
     alerts: list[tuple[str, AlertEvent]] = []
     sh_alert_keys: dict[str, dict[tuple, set]] = {}   # type -> (date, slot) -> meters
@@ -315,9 +344,10 @@ def _detect(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
             state = ShDetectorState(meter_id, sh_models[meter_id],
                                     nbr_incr=cfg.nbr_incr, n_window=cfg.n_window,
                                     mode=cfg.counter_mode)
+            preds = predictions[_series_key(s)]
             for i in range(len(s)):
-                fv = _fv_with(s, variant.labeled.attacked[i], i)
-                event = sh_step(state, fv)
+                event = _sh_decide(state, s.dates[i], s.intervals[i],
+                                   float(variant.labeled.attacked[i]), preds[i], state.pe)
                 if event is not None:
                     alerts.append((attack_type, event))
                     hour = event.interval
@@ -329,9 +359,10 @@ def _detect(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
         for variant in by_level_type.get(("NBH", attack_type), []):
             s = variant.labeled.base
             state = NbhDetectorState(nbh_model)
+            preds = predictions[_series_key(s)]
             for i in range(len(s)):
-                fv = _fv_with(s, variant.labeled.attacked[i], i)
-                event = nbh_step(state, fv)
+                event = _nbh_decide(state, s.dates[i], s.intervals[i],
+                                    float(variant.labeled.attacked[i]), preds[i], state.pe)
                 if event is not None:
                     alerts.append((attack_type, event))
                     nacr.add((event.date, event.interval))
@@ -370,14 +401,9 @@ def _detect(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
     return {"alerts": alerts, "fusion": fusion}
 
 
-def _fv_with(series: atk.Series, consumption: float, i: int):
-    return feature_vector(series.dates[i], series.intervals[i], series.kind,
-                          float(consumption))
-
-
 def _score(cfg: ScenarioConfig, parsed: ParseResult, removed_counts: dict,
            sh_models: dict[int, TreeModel], nbh_model: TreeModel,
-           corpus: atk.Corpus, detection: dict):
+           corpus: atk.Corpus, predictions: dict[tuple, list[float]], detection: dict):
     per_level: dict[str, _LevelScores] = {}
     per_meter_rates: dict[str, dict] = {}
 
@@ -393,8 +419,7 @@ def _score(cfg: ScenarioConfig, parsed: ParseResult, removed_counts: dict,
             s = ls.base
             model = nbh_model if level == "NBH" else sh_models[s.meter_id]
             pe = model.trained_rmse
-            preds = np.array([predict(model, _fv_with(s, s.values[i], i))
-                              for i in range(len(s))])
+            preds = np.array(predictions[_series_key(s)])
             if variant.attack_type == "none":
                 margins = s.values - (preds + pe)
                 benign_m.append(margins)

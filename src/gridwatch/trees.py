@@ -20,8 +20,15 @@ attribute declaration order and then lowest threshold:
   its subtree; optional smoothing blends the leaf prediction with ancestor
   models along the root path at prediction time.
 
-Trained models are immutable in practice (nothing mutates them after
-training) and safe for concurrent prediction.
+A prediction depends only on a vector's calendar attributes (interval,
+day period, day type, month, season), never on its consumption, so each
+model memoises its predictions per calendar key. The memo lives on the
+model instance: it is bounded by the number of distinct keys (at most
+48 x 2 x 2 x 12 x 4), is never serialized, and starts empty after
+``deserialize``. It is exact under one rule: a model is not mutated after
+its first ``predict``. Nothing in this package mutates a model once
+training has returned it. Concurrent ``predict`` calls on one model are
+safe: two threads that miss on the same key store the same value.
 """
 
 from __future__ import annotations
@@ -115,6 +122,9 @@ class TreeModel:
     trained_rmse: float = 0.0        # the detector threshold margin (PE)
     trained_mae: float = 0.0
     training_meta: dict = dataclasses.field(default_factory=dict)
+    # calendar key -> prediction, filled by predict; never serialized
+    _predictions: dict = dataclasses.field(default_factory=dict, init=False,
+                                           compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +591,20 @@ def _stamp_errors(model: TreeModel, train: Dataset, valid: Dataset | None,
 # prediction and evaluation
 
 def predict(model: TreeModel, fv: FeatureVector) -> float:
-    """Route the vector to a leaf and return its prediction, clamped at 0."""
+    """Route the vector to a leaf and return its prediction, clamped at 0.
+
+    The result is memoised on the model per calendar key; the key holds
+    every attribute the tree walk reads, so the memo is exact.
+    """
+    key = (fv.interval, fv.day_period, fv.day_type, fv.month, fv.season)
+    value = model._predictions.get(key)
+    if value is None:
+        value = model._predictions[key] = _walk(model, fv)
+    return value
+
+
+def _walk(model: TreeModel, fv: FeatureVector) -> float:
+    """The uncached prediction: route to a leaf, blend, clamp at 0."""
     x = encode_row(fv, model.attributes)
     path: list[Split] = []
     node = model.root

@@ -1,11 +1,13 @@
+import datetime as dt
 import gzip
 import json
 from pathlib import Path
 
 import pytest
 
-from gridwatch.cli import main
-from gridwatch.manifest import read_manifest, verify_manifest
+from gridwatch.cli import _write_alerts, main
+from gridwatch.detect import AlertEvent
+from gridwatch.manifest import read_manifest, verify_manifest, write_json, write_manifest
 from gridwatch.synth import SynthProfile, synth_raw_lines
 
 
@@ -218,3 +220,18 @@ def test_simulate_bad_config_is_user_error(tmp_path):
 
 def test_report_missing_run_is_user_error(tmp_path):
     assert main(["report", "--run", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_json_outputs_refuse_non_finite_numbers(tmp_path, bad):
+    # report.json and manifest.json go through write_json, alerts.jsonl through
+    # _write_alerts; none may emit the invalid-JSON tokens NaN/Infinity
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "report.json", {"levels": {"SH": {"tpr": bad}}})
+    assert not (tmp_path / "report.json").exists()
+    with pytest.raises(ValueError):
+        write_manifest(tmp_path / "run", "simulate", {"factor": bad}, 7, [])
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    event = AlertEvent("nacr", None, dt.date(2009, 1, 5), 3, "slot", bad, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        _write_alerts(tmp_path / "alerts.jsonl", [("none", event)])

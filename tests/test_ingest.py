@@ -86,12 +86,20 @@ def test_parse_reports_bad_lines_with_numbers():
         "1392 19539 inf",
         "1392 19540 1e400",    # overflows to inf
         "1392 400000001 0.1",  # day code past the last calendar date
+        "1 1_00501 0.5",       # int() would read day code 1005
+        "1 +0501 0.5",         # signed timestamp
+        "1 100501 0.5",        # six digits: day code past the 3-digit field
+        "1 \u0661\u0669\u0665\u0663\u0665 0.5",  # Arabic-Indic digits
+        "\u0661 19535 0.5",    # non-ASCII meter id
+        "+1392 19535 0.5",     # signed meter id
     ]
     result = parse_raw(lines)
     assert len(result.readings) == 1
-    assert [i.line_no for i in result.issues] == [2, 3, 4, 5, 6, 7, 8, 9]
+    assert [i.line_no for i in result.issues] == list(range(2, 16))
     assert "slot 99" in result.issues[0].message
     assert all("non-finite" in i.message for i in result.issues[4:7])
+    assert all("5 ASCII digits" in i.message for i in result.issues[7:12])
+    assert all("ASCII digits" in i.message for i in result.issues[12:])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from gridwatch import scenario as scn
+from gridwatch.detect import (AlertEvent, NbhDetectorState, ShDetectorState, decide,
+                              nbh_step, sh_step)
 from gridwatch.errors import ScenarioError
-from gridwatch.ingest import EPOCH, build_sh_dataset, clean_dataset, parse_raw, split_train_validation
+from gridwatch.ingest import (EPOCH, build_sh_dataset, clean_dataset, feature_vector,
+                              parse_raw, split_train_validation)
 from gridwatch.scenario import ScenarioConfig, benchmark_models, run_scenario, summary_rows
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, SynthProfile, expected_kwh,
                              meter_scale, synth_raw_lines, synth_readings)
@@ -159,6 +163,77 @@ def test_scenario_fusion_confirms_attacks(small_result):
     for entry in fusion.values():
         assert entry["confirmed"] > 0
         assert entry["ticks"] == 7 * 48  # one validation week at slot granularity
+
+
+@pytest.fixture(scope="module")
+def detect_inputs():
+    """Corpus and models of a 4-home, 8-week scenario, built stage by stage."""
+    cfg = ScenarioConfig(nb_sh=4, weeks=8, seed=5, jobs=1)
+    sh_raw, nbh_raw = scn._build(scn._ingest(cfg).readings, cfg)
+    sh_clean, nbh_clean, _ = scn._clean(sh_raw, nbh_raw)
+    sh_splits, nbh_split = scn._split(sh_clean, nbh_clean, cfg.seed)
+    sh_models, nbh_model = scn._train(sh_splits, nbh_split, cfg)
+    corpus = scn._attack(sh_splits, nbh_split, cfg)
+    return cfg, corpus, sh_models, nbh_model
+
+
+def _replay_oracle(cfg, corpus, sh_models, nbh_model):
+    """Every variant replayed through the public sh_step/nbh_step with freshly
+    built feature vectors, fused by detect.decide."""
+    alerts, fusion = [], {}
+    home_alerts, nacr = {}, {}
+    for variant in corpus.variants:
+        s, t = variant.labeled.base, variant.attack_type
+        if variant.level == "SH":
+            state = ShDetectorState(s.meter_id, sh_models[s.meter_id], nbr_incr=cfg.nbr_incr,
+                                    n_window=cfg.n_window, mode=cfg.counter_mode)
+            step = sh_step
+        else:
+            state, step = NbhDetectorState(nbh_model), nbh_step
+        for i in range(len(s)):
+            fv = feature_vector(s.dates[i], s.intervals[i], s.kind,
+                                float(variant.labeled.attacked[i]))
+            event = step(state, fv)
+            if event is None:
+                continue
+            alerts.append((t, event))
+            if event.kind == "nacr":
+                nacr.setdefault(t, set()).add((event.date, event.interval))
+            else:
+                for slot in (2 * event.interval - 1, 2 * event.interval):
+                    home_alerts.setdefault(t, {}).setdefault((event.date, slot), set()).add(
+                        event.meter_id)
+    base = next(v.labeled.base for v in corpus.variants
+                if v.level == "NBH" and v.attack_type == "none")
+    ticks = sorted(zip(base.dates, base.intervals))
+    nb_sh = len(sh_models)
+    for t in sorted({v.attack_type for v in corpus.variants} - {"none"}):
+        homes = home_alerts.get(t, {})
+        confirmed = 0
+        for date, slot in ticks:
+            if decide((date, slot) in nacr.get(t, set()),
+                      min(len(homes.get((date, slot), ())), nb_sh), nb_sh):
+                confirmed += 1
+                alerts.append((t, AlertEvent("attack_confirmed", None, date, slot, "slot",
+                                             0.0, 0.0, 0.0)))
+        fusion[t] = {"ticks": len(ticks), "confirmed": confirmed,
+                     "alerting_dates": len({d for d, _ in homes})}
+    alerts.sort(key=lambda ta: (ta[1].kind, ta[1].timestamp(), ta[1].meter_id or 0, ta[0]))
+    return alerts, fusion
+
+
+@pytest.mark.parametrize("mode", ["windowed", "lifetime"])
+def test_detect_matches_public_step_replay(detect_inputs, mode):
+    cfg, corpus, sh_models, nbh_model = detect_inputs
+    cfg = dataclasses.replace(cfg, counter_mode=mode)
+    predictions = scn._predict_series(corpus, sh_models, nbh_model)
+    detection = scn._detect(corpus, predictions, sh_models, nbh_model, cfg)
+    alerts, fusion = _replay_oracle(cfg, corpus, sh_models, nbh_model)
+    assert {e.kind for _, e in alerts} == {"sh_anomaly", "nacr", "attack_confirmed"}
+    assert len(detection["alerts"]) == len(alerts)
+    for got, want in zip(detection["alerts"], alerts):
+        assert got == want          # every field: observed, predicted, threshold too
+    assert detection["fusion"] == fusion
 
 
 def test_scenario_stage_error_names_stage():

@@ -1,16 +1,17 @@
 import dataclasses
 import datetime as dt
 import itertools
+import pickle
 import statistics
 
 import numpy as np
 import pytest
 
 from gridwatch.errors import ContractViolation, ModelDecodeError, TrainingError
-from gridwatch.ingest import (SH_ATTRIBUTES, Dataset, FeatureVector, feature_vector,
-                              season_of_month)
+from gridwatch.ingest import (NBH_ATTRIBUTES, SEASONS, SH_ATTRIBUTES, Dataset,
+                              FeatureVector, feature_vector, season_of_month)
 from gridwatch.trees import (Leaf, LinearModel, Split, TreeModel, TreeParams,
-                             _best_split, _grow, count_leaves, deserialize,
+                             _best_split, _grow, _walk, count_leaves, deserialize,
                              encode_matrix, encode_value, evaluate, predict,
                              sd_reduction, serialize, target_vector, to_text,
                              train_model_tree, train_rep_tree, tree_depth)
@@ -399,18 +400,115 @@ def test_to_text_renders_tree():
     assert "rep_tree" in text and "leaf" in text
 
 
-def test_unseen_season_routes_to_majority_child():
-    # train on winter/spring only; predicting an autumn vector must follow
-    # the child that saw more training rows
+def unseen_season_model():
+    """Trained on winter/spring only: season codes 2 and 3 were never seen."""
     root = Split(
         attribute="season", attr_index=3, kind="subset",
         subset=frozenset({0.0}), seen=frozenset({0.0, 1.0}),
         left=Leaf(1.0, 30), right=Leaf(2.0, 10), n=40, value=1.25,
     )
-    model = TreeModel("rep_tree", root, tuple(ATTRS))
+    return TreeModel("rep_tree", root, tuple(ATTRS))
+
+
+def test_unseen_season_routes_to_majority_child():
+    # predicting an autumn vector must follow the child that saw more
+    # training rows
+    model = unseen_season_model()
     autumn = feature_vector(dt.date(2009, 10, 5), 3, "hour", 0.0)
     assert predict(model, autumn) == 1.0  # left child holds the majority
     winter = feature_vector(dt.date(2009, 1, 5), 3, "hour", 0.0)
     spring = feature_vector(dt.date(2009, 4, 6), 3, "hour", 0.0)
     assert predict(model, winter) == 1.0
     assert predict(model, spring) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# prediction cache
+
+def _patterned_rows(kind, n, seed):
+    """Rows whose consumption depends on every calendar attribute, so trained
+    trees split on several of them."""
+    rng = np.random.default_rng(seed)
+    top = 24 if kind == "hour" else 48
+    rows = []
+    for _ in range(n):
+        date = dt.date(2009, 1, 5) + dt.timedelta(days=int(rng.integers(0, 360)))
+        interval = int(rng.integers(1, top + 1))
+        fv = feature_vector(date, interval, kind, 0.0)
+        value = (0.3 + 0.05 * interval * (2.0 if fv.day_type == "weekend" else 1.0)
+                 + 0.1 * (fv.month % 4) + (0.4 if fv.day_period == "day" else 0.0)
+                 + float(rng.normal(0, 0.05)))
+        rows.append(dataclasses.replace(fv, consumption=value))
+    return rows
+
+
+CACHE_MODELS = ["rep_hour", "model_hour", "model_hour_smoothed",
+                "rep_slot", "model_slot", "model_slot_smoothed", "unseen_season"]
+
+
+@pytest.fixture(scope="module")
+def cache_models():
+    """name -> (model, interval kind): trained rep and model trees over hours
+    and slots, with and without smoothing, plus the unseen-season tree."""
+    models = {"unseen_season": (unseen_season_model(), "hour")}
+    for kind, level, attrs in (("hour", "SH", ATTRS), ("slot", "NBH", NBH_ATTRIBUTES)):
+        rows = _patterned_rows(kind, 900, seed=len(attrs))
+        meter = 1 if level == "SH" else None
+        train = Dataset(level, meter, rows[:700], attrs)
+        valid = Dataset(level, meter, rows[700:], attrs)
+        models[f"rep_{kind}"] = (train_rep_tree(train, TreeParams(seed=3), valid=valid), kind)
+        for suffix, smoothing in (("", False), ("_smoothed", True)):
+            model = train_model_tree(train, TreeParams(seed=3, smoothing=smoothing), valid=valid)
+            models[f"model_{kind}{suffix}"] = (model, kind)
+    assert sorted(models) == sorted(CACHE_MODELS)
+    return models
+
+
+def _every_calendar_key(kind):
+    """One vector per (interval, day period, day type, month, season),
+    inconsistent combinations included."""
+    top = 24 if kind == "hour" else 48
+    date = dt.date(2009, 1, 5)
+    return [FeatureVector(date, interval, period, day_type, month, season, 0.0)
+            for interval in range(1, top + 1) for period in ("day", "night")
+            for day_type in ("weekday", "weekend") for month in range(1, 13)
+            for season in SEASONS]
+
+
+def test_cache_models_split_and_smooth(cache_models):
+    for name, (model, kind) in cache_models.items():
+        assert isinstance(model.root, Split), name
+        if model.smoothing:
+            plain = dataclasses.replace(model, smoothing=False)
+            assert any(_walk(model, fv) != _walk(plain, fv) for fv in _every_calendar_key(kind))
+
+
+@pytest.mark.parametrize("name", CACHE_MODELS)
+def test_cached_predict_equals_uncached_walk(cache_models, name):
+    model, kind = cache_models[name]
+    vectors = _every_calendar_key(kind)
+    blob = serialize(model)
+    for fv in vectors:
+        assert predict(model, fv) == _walk(model, fv)   # training warmed some keys
+    assert len(model._predictions) == len(vectors)
+    for fv in reversed(vectors):
+        assert predict(model, dataclasses.replace(fv, consumption=9.0)) == _walk(model, fv)
+    assert len(model._predictions) == len(vectors)
+    assert serialize(model) == blob
+
+    back = deserialize(blob)
+    assert back._predictions == {}
+    pickled = pickle.loads(pickle.dumps(model))
+    for fv in vectors:
+        expected = _walk(model, fv)
+        assert predict(back, fv) == expected
+        assert predict(pickled, fv) == expected
+
+
+def test_prediction_cache_is_per_model():
+    a, b = constant_leaf_model(1.0), constant_leaf_model(2.0)
+    fv = feature_vector(dt.date(2009, 1, 5), 3, "hour", 0.0)
+    assert (predict(a, fv), predict(b, fv)) == (1.0, 2.0)
+    assert a == constant_leaf_model(1.0)      # the cache takes no part in equality
+    assert "_predictions" not in repr(a)
+    assert dataclasses.replace(a)._predictions == {}
