@@ -9,7 +9,7 @@ end to end on synthetic neighborhoods (`synth`, `scenario`, `metrics`).
 
 from .attacks import ATTACK_TYPES, AttackSpec, LabeledSeries, apply_attack, generate_corpus
 from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState,
-                     decide, gradual_overload_check, nbh_step, retrain_tick, sh_step)
+                     decide, nbh_step, sh_step)
 from .ingest import (Dataset, FeatureVector, MeterReading, build_nbh_dataset,
                      build_sh_dataset, clean_dataset, decode_timestamp,
                      derive_features, parse_raw, split_train_validation)

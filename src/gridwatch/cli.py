@@ -34,7 +34,7 @@ from .ingest import (Dataset, FeatureVector, build_nbh_dataset, build_sh_dataset
                      clean_dataset, feature_vector, group_by_meter, open_raw, parse_raw,
                      read_dataset_csv, split_train_validation, write_dataset_csv,
                      write_labeled_csv, write_removed_csv)
-from .manifest import write_json, write_manifest
+from .manifest import MANIFEST_NAME, verify_manifest, write_json, write_manifest
 from .synth import synth_readings
 from .trees import deserialize, serialize, to_text, train_model_tree, train_rep_tree
 
@@ -256,28 +256,28 @@ def cmd_detect(args) -> int:
         streams = [((ds.meter_id, "none"), sorted(ds.rows, key=lambda r: (r.date, r.interval)))]
 
     step = sh_step if level == "sh" else nbh_step
-    alerts = []
-    states = []
+    alerts, suspects, benign = [], [], []
     for (meter_id, attack_type), rows in streams:
         state = _make_state(models_dir, level, meter_id, args.nbr_incr,
                             args.n_window, args.counter_mode)
-        states.append(state)
         try:
             for fv in rows:
                 event = step(state, fv)
-                if event is not None:
+                if event is None:
+                    benign.append(fv)
+                else:
+                    suspects.append(fv)
                     alerts.append((attack_type, event))
         except SequencingError as exc:
             raise UserInputError(f"bad stream in {stream_path}: {exc}") from exc
 
     log_path = out / "alerts.jsonl"
     _write_alerts(log_path, alerts)
-    # routed rows, in the dataset schema plus a label column
+    # each row once: the alerting ones as suspects, the rest as benign, in the
+    # dataset schema plus a label column
     meter = streams[0][0][0] if len(streams) == 1 else None
-    write_labeled_csv(level.upper(), meter, [fv for st in states for fv in st.suspects],
-                      "suspect", out / "suspects.csv")
-    write_labeled_csv(level.upper(), meter, [fv for st in states for fv in st.benign_buffer],
-                      "benign", out / "benign.csv")
+    write_labeled_csv(level.upper(), meter, suspects, "suspect", out / "suspects.csv")
+    write_labeled_csv(level.upper(), meter, benign, "benign", out / "benign.csv")
     write_manifest(out, "detect", {
         "models": str(models_dir), "corpus": args.corpus, "dataset": args.dataset,
         "level": args.level, "nbr_incr": args.nbr_incr, "n_window": args.n_window,
@@ -374,6 +374,7 @@ def cmd_report(args) -> int:
     run_dir = Path(args.run)
     report_path = run_dir / "report.json"
     _missing(report_path, "report.json (run `gridwatch simulate` first)")
+    _verify_run(run_dir)
     with open(report_path) as fh:
         report = json.load(fh)
     _write_csv(run_dir / "detection_summary.csv", scn.summary_rows(report))
@@ -400,6 +401,19 @@ def cmd_report(args) -> int:
                   f"rmse_a={_num(entry.get('rmse_attack'))}")
     print(f"report: tables written under {run_dir}")
     return 0
+
+
+def _verify_run(run_dir: Path) -> None:
+    """The run's artifacts must still match the checksums in its manifest."""
+    manifest_path = run_dir / MANIFEST_NAME
+    _missing(manifest_path, "run manifest")
+    try:
+        changed = verify_manifest(run_dir)
+    except (ValueError, KeyError) as exc:
+        raise UserInputError(f"malformed run manifest {manifest_path}: {exc!r}") from exc
+    if changed:
+        raise UserInputError(f"{run_dir} does not match {manifest_path}; "
+                             f"changed or missing: {', '.join(changed)}")
 
 
 def _num(v) -> str:

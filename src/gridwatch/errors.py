@@ -38,10 +38,6 @@ class SequencingError(ContractViolation):
     """A detector received observations out of chronological order."""
 
 
-class InsufficientData(UserInputError):
-    """Not enough data for the requested analysis (e.g. slope check)."""
-
-
 class ScenarioError(GridwatchError):
     """A scenario stage failed; carries the stage name for diagnosis."""
 

@@ -214,15 +214,17 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         timings[name] = time.perf_counter() - t0
         return out
 
-    parsed: ParseResult = stage("ingest", _ingest, cfg)
+    parsed = stage("ingest", _ingest, cfg)
+    parse_counts = {"readings": len(parsed.readings), "issues": len(parsed.issues)}
     sh_raw, nbh_raw = stage("build", _build, parsed.readings, cfg)
+    del parsed  # nothing after build reads the readings; free them before training
     sh_clean, nbh_clean, removed_counts = stage("clean", _clean, sh_raw, nbh_raw)
     sh_splits, nbh_split = stage("split", _split, sh_clean, nbh_clean, cfg.seed)
     sh_models, nbh_model = stage("train", _train, sh_splits, nbh_split, cfg)
     corpus = stage("attack", _attack, sh_splits, nbh_split, cfg)
     predictions = stage("predict", _predict_series, corpus, sh_models, nbh_model)
     detection = stage("detect", _detect, corpus, predictions, sh_models, nbh_model, cfg)
-    report, roc_points = stage("score", _score, cfg, parsed, removed_counts,
+    report, roc_points = stage("score", _score, cfg, parse_counts, removed_counts,
                                sh_models, nbh_model, corpus, predictions, detection)
 
     training_rows = [model_report_row(m, sh_models[m]) for m in sorted(sh_models)]
@@ -347,7 +349,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
             preds = predictions[_series_key(s)]
             for i in range(len(s)):
                 event = _sh_decide(state, s.dates[i], s.intervals[i],
-                                   float(variant.labeled.attacked[i]), preds[i], state.pe)
+                                   float(variant.labeled.attacked[i]), preds[i])
                 if event is not None:
                     alerts.append((attack_type, event))
                     hour = event.interval
@@ -362,7 +364,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
             preds = predictions[_series_key(s)]
             for i in range(len(s)):
                 event = _nbh_decide(state, s.dates[i], s.intervals[i],
-                                    float(variant.labeled.attacked[i]), preds[i], state.pe)
+                                    float(variant.labeled.attacked[i]), preds[i])
                 if event is not None:
                     alerts.append((attack_type, event))
                     nacr.add((event.date, event.interval))
@@ -380,9 +382,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
         if attack_type == "none" or not ticks or nb_sh == 0:
             continue
         alerting_dates = {d for d, _slot in sh_alert_keys[attack_type]}
-        selected = atk.select_attack_dates(sorted({d for d, _ in ticks}),
-                                           cfg.mix.get(attack_type, 0.0), cfg.seed, attack_type)
-        maker = DecisionMaker(nb_sh, confirm=lambda ev, sel=selected: ev.date in sel)
+        maker = DecisionMaker(nb_sh)
         confirmed = 0
         for date, slot in ticks:
             nacr = (date, slot) in nacr_keys[attack_type]
@@ -401,7 +401,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
     return {"alerts": alerts, "fusion": fusion}
 
 
-def _score(cfg: ScenarioConfig, parsed: ParseResult, removed_counts: dict,
+def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
            sh_models: dict[int, TreeModel], nbh_model: TreeModel,
            corpus: atk.Corpus, predictions: dict[tuple, list[float]], detection: dict):
     per_level: dict[str, _LevelScores] = {}
@@ -472,7 +472,7 @@ def _score(cfg: ScenarioConfig, parsed: ParseResult, removed_counts: dict,
         "nb_sh": cfg.nb_sh,
         "weeks": cfg.weeks,
         "mix": {t: cfg.mix.get(t, 0.0) for t in atk.ATTACK_TYPES},
-        "parse": {"readings": len(parsed.readings), "issues": len(parsed.issues)},
+        "parse": parse_counts,
         "cleaning": removed_counts,
         "models": {
             "sh": {

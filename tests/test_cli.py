@@ -1,6 +1,9 @@
+import collections
+import csv
 import datetime as dt
 import gzip
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -115,6 +118,33 @@ def test_attack_then_detect(ingested, trained, tmp_path):
     assert (alerts_dir / "benign.csv").exists()
 
 
+def _records(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("level", ["sh", "nbh"])
+def test_detect_routes_each_corpus_row_once(ingested, trained, tmp_path, level):
+    corpus_dir = tmp_path / "corpus"
+    assert main(["attack", "--data", str(ingested), "--out", str(corpus_dir),
+                 "--seed", "13"]) == 0
+    corpus = corpus_dir / f"corpus_{level}.csv"
+    out = tmp_path / "alerts"
+    assert main(["detect", "--models", str(trained / "models"), "--corpus", str(corpus),
+                 "--level", level, "--out", str(out)]) == 0
+    alerts = [json.loads(line) for line in (out / "alerts.jsonl").read_text().splitlines()]
+    suspects, benign = _records(out / "suspects.csv"), _records(out / "benign.csv")
+    # one suspect row per alert, at the alert's (date, interval) and in its order
+    assert alerts
+    assert [(r["date"], int(r["hour_or_slot"])) for r in suspects] == \
+        [(a["timestamp"][:10], a["interval"]) for a in alerts]
+    # suspects and benign rows together are exactly the replayed corpus rows
+    assert collections.Counter((r["date"], r["hour_or_slot"], r["consumption_kwh"])
+                               for r in suspects + benign) == \
+        collections.Counter((r["date"], r["interval"], r["attacked_kwh"])
+                            for r in _records(corpus))
+
+
 def test_train_dump_text(ingested, tmp_path):
     out = tmp_path / "texty"
     assert main(["train", "--data", str(ingested), "--out", str(out),
@@ -220,6 +250,46 @@ def test_simulate_bad_config_is_user_error(tmp_path):
 
 def test_report_missing_run_is_user_error(tmp_path):
     assert main(["report", "--run", str(tmp_path)]) == 2
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small_run")
+    config_path = root / "cfg.json"
+    config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4, "seed": 5, "mix": {"t3": 1.0}}))
+    assert main(["simulate", "--config", str(config_path), "--out", str(root / "run"),
+                 "--benchmark-meters", "0"]) == 0
+    return root / "run"
+
+
+def _damage_report(run: Path) -> None:
+    (run / "report.json").write_bytes((run / "report.json").read_bytes() + b" ")
+
+
+def _drop_manifest(run: Path) -> None:
+    (run / "manifest.json").unlink()
+
+
+@pytest.mark.parametrize("damage, named", [(_damage_report, "report.json"),
+                                           (_drop_manifest, "manifest.json")],
+                         ids=["tampered_report", "missing_manifest"])
+def test_report_refuses_unverified_run(small_run, tmp_path, capsys, damage, named):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    damage(run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--run", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and captured.out == ""
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before  # nothing written
+
+
+def test_report_twice_passes_verification(small_run, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(small_run, run)
+    assert main(["report", "--run", str(run)]) == 0
+    assert main(["report", "--run", str(run)]) == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,15 +1,18 @@
+import csv
 import datetime as dt
 import itertools
+import json
+from collections.abc import Sized
 
 import numpy as np
 import pytest
 
-from gridwatch.detect import (DecisionMaker, GradualCheck, NbhDetectorState,
-                              ShDetectorState, decide, gradual_overload_check,
-                              nbh_step, retrain_tick, sh_step)
-from gridwatch.errors import InsufficientData, SequencingError
-from gridwatch.ingest import (NBH_ATTRIBUTES, SH_ATTRIBUTES, Dataset, feature_vector)
-from gridwatch.trees import Leaf, TreeModel, TreeParams
+from gridwatch.cli import main
+from gridwatch.detect import (DEFAULT_N_WINDOW, DecisionMaker, NbhDetectorState,
+                              ShDetectorState, decide, nbh_step, sh_step)
+from gridwatch.errors import SequencingError
+from gridwatch.ingest import NBH_ATTRIBUTES, SH_ATTRIBUTES, feature_vector
+from gridwatch.trees import Leaf, TreeModel, serialize
 
 START = dt.date(2009, 1, 5)
 
@@ -41,6 +44,36 @@ def drive(flags, nbr_incr=2, n_window=4, mode="windowed"):
     return fired, state
 
 
+def detect_csvs(tmp_path, level, model, fvs):
+    """Replay rows as a one-stream corpus through `gridwatch detect`; returns
+    the alerts and the suspect and benign rows it wrote. Checks that the
+    suspect rows are the alerting rows, in alert order, and that every
+    replayed row lands in exactly one of the two CSVs."""
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / ("sh_1.amim" if level == "sh" else "nbh.amim")).write_bytes(serialize(model))
+    meter = "1" if level == "sh" else ""
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("meter_id,date,interval,attacked_kwh,attack_type\n" + "".join(
+        f"{meter},{fv.date.isoformat()},{fv.interval},{fv.consumption!r},none\n" for fv in fvs))
+    out = tmp_path / "out"
+    assert main(["detect", "--models", str(models), "--corpus", str(corpus),
+                 "--level", level, "--out", str(out)]) == 0
+    alerts = [json.loads(line) for line in (out / "alerts.jsonl").read_text().splitlines()]
+    rows = {}
+    for label, name in (("suspect", "suspects.csv"), ("benign", "benign.csv")):
+        with open(out / name, newline="") as fh:
+            rows[label] = list(csv.DictReader(fh))
+        assert all(r["label"] == label for r in rows[label])
+    key = lambda r: (r["date"], int(r["hour_or_slot"]))
+    assert [key(r) for r in rows["suspect"]] == \
+        [(a["timestamp"][:10], a["interval"]) for a in alerts]
+    assert [key(r) + (float(r["consumption_kwh"]),)
+            for r in sorted(rows["suspect"] + rows["benign"], key=key)] == \
+        [(fv.date.isoformat(), fv.interval, fv.consumption) for fv in fvs]
+    return alerts, rows["suspect"], rows["benign"]
+
+
 def reference_alerts(flags, nbr_incr=2, n_window=4):
     """Independent window-scan reference: at every exceeding step, count the
     flags inside the trailing window (since the last alert) and fire when
@@ -62,7 +95,6 @@ def test_sh_no_flag_when_within_threshold():
     state = ShDetectorState(1, leaf_model(0.5, pe=0.3))
     event = sh_step(state, hourly_fv(0, 0.7))  # 0.7 <= 0.5 + 0.3
     assert event is None
-    assert state.benign_buffer and not state.suspects
 
 
 def test_sh_exactly_threshold_never_flags():
@@ -78,11 +110,12 @@ def test_sh_three_consecutive_increases_alert_on_third():
     assert state.counter == 0  # window cleared after the alert
 
 
-def test_sh_alert_row_goes_to_suspects_not_benign():
-    fired, state = drive([True, True, True, False])
-    assert len(state.suspects) == 1
-    assert len(state.benign_buffer) == 3  # two pre-alert exceedances + benign row
-    assert len(state.suspects) + len(state.benign_buffer) == 4
+def test_sh_alert_row_goes_to_suspects_not_benign(tmp_path):
+    fvs = [hourly_fv(step, 1.0 if flag else 0.2)
+           for step, flag in enumerate([True, True, True, False])]
+    _, suspects, benign = detect_csvs(tmp_path, "sh", leaf_model(0.0, pe=0.5), fvs)
+    assert [r["hour_or_slot"] for r in suspects] == ["3"]
+    assert len(benign) == 3  # two pre-alert exceedances + benign row
 
 
 def test_sh_windowed_matches_reference_exhaustive_length_8():
@@ -125,16 +158,31 @@ def test_sh_zero_false_alarms_on_perfect_predictions():
     state = ShDetectorState(1, leaf_model(0.5, pe=0.0))
     for step in range(48):
         assert sh_step(state, hourly_fv(step, 0.5)) is None
-    assert not state.suspects and not state.alerts
 
 
-def test_sh_benign_routing_conservation():
+def test_sh_benign_routing_conservation(tmp_path):
     rng = np.random.default_rng(4)
-    state = ShDetectorState(1, leaf_model(0.5, pe=0.1))
     n = 200
-    for step in range(n):
-        sh_step(state, hourly_fv(step, float(rng.uniform(0, 1.2))))
-    assert len(state.benign_buffer) + len(state.suspects) == n
+    fvs = [hourly_fv(step, float(rng.uniform(0, 1.2))) for step in range(n)]
+    alerts, suspects, benign = detect_csvs(tmp_path, "sh", leaf_model(0.5, pe=0.1), fvs)
+    assert alerts and len(suspects) + len(benign) == n
+
+
+@pytest.mark.parametrize("level", ["windowed", "lifetime", "nbh"])
+def test_state_is_bounded_by_window(level):
+    rng = np.random.default_rng(6)
+    if level == "nbh":
+        state = NbhDetectorState(leaf_model(0.5, pe=0.1, attributes=NBH_ATTRIBUTES))
+        step, make_fv = nbh_step, slot_fv
+    else:
+        state, step, make_fv = ShDetectorState(1, leaf_model(0.5, pe=0.1), mode=level), \
+            sh_step, hourly_fv
+    fired = sum(step(state, make_fv(i, float(rng.uniform(0, 1.2)))) is not None
+                for i in range(5000))
+    assert fired > 0
+    sizes = {name: len(value) for name, value in vars(state).items()
+             if isinstance(value, Sized) and not isinstance(value, str)}
+    assert max(sizes.values()) <= DEFAULT_N_WINDOW, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -144,20 +192,19 @@ def test_nbh_immediate_alert():
     state = NbhDetectorState(leaf_model(240.0, pe=48.0, attributes=NBH_ATTRIBUTES))
     event = nbh_step(state, slot_fv(0, 300.0))  # 300 > 288
     assert event is not None and event.kind == "nacr"
-    assert state.suspects
 
 
 def test_nbh_boundary_is_strict():
     state = NbhDetectorState(leaf_model(240.0, pe=48.0, attributes=NBH_ATTRIBUTES))
     assert nbh_step(state, slot_fv(0, 288.0)) is None
-    assert state.benign_buffer
 
 
-def test_nbh_benign_rows_buffered():
-    state = NbhDetectorState(leaf_model(240.0, pe=48.0, attributes=NBH_ATTRIBUTES))
-    for step in range(10):
-        nbh_step(state, slot_fv(step, 200.0))
-    assert len(state.benign_buffer) == 10
+def test_nbh_benign_rows_buffered(tmp_path):
+    fvs = [slot_fv(step, 300.0 if step == 4 else 200.0) for step in range(11)]
+    model = leaf_model(240.0, pe=48.0, attributes=NBH_ATTRIBUTES)
+    _, suspects, benign = detect_csvs(tmp_path, "nbh", model, fvs)
+    assert [r["hour_or_slot"] for r in suspects] == ["5"]
+    assert len(benign) == 10
 
 
 def test_nbh_alert_timestamp_is_half_hour():
@@ -189,119 +236,14 @@ def test_decide_validates_inputs():
         decide(False, 5, 4)
 
 
-def test_decision_maker_routes_by_confirmation():
-    maker = DecisionMaker(4, confirm=lambda event: event.interval == 1)
-    sample = [feature_vector(START, 1, "slot", 1.0)]
-    event = maker.tick(START, 1, True, 0, samples=sample)
-    assert event is not None and maker.attack_store == sample
-    sample2 = [feature_vector(START, 2, "slot", 1.0)]
-    event = maker.tick(START, 2, True, 0, samples=sample2)
-    assert event is not None and maker.benign_store == sample2
-    sample3 = [feature_vector(START, 3, "slot", 1.0)]
-    assert maker.tick(START, 3, False, 1, samples=sample3) is None
-    assert sample3[0] in maker.benign_store
-
-
-# ---------------------------------------------------------------------------
-# gradual overload
-
-def test_gradual_constant_series_not_flagged():
-    check = gradual_overload_check([5.0] * 30, pe=0.4)
-    assert check.slope == pytest.approx(0.0, abs=1e-12)
-    assert not check.flagged
-
-
-def test_gradual_linear_series_slope_exact():
-    series = [10 + 0.5 * k for k in range(30)]
-    check = gradual_overload_check(series, pe=0.4)
-    assert check.slope == pytest.approx(0.5, abs=1e-12)
-    assert check.flagged  # drift 15 kWh >> 2 * 0.4
-
-
-def test_gradual_noisy_flat_series_not_flagged():
-    rng = np.random.default_rng(12)
-    series = 5.0 + rng.normal(0, 0.2, 60)
-    check = gradual_overload_check(series, pe=0.4)
-    assert not check.flagged
-
-
-def test_gradual_short_series_rejected():
-    with pytest.raises(InsufficientData):
-        gradual_overload_check([1.0] * 27)
-
-
-def test_gradual_explicit_threshold():
-    series = [1.0 + 0.01 * k for k in range(30)]
-    assert gradual_overload_check(series, slope_threshold=0.02).flagged is False
-    assert gradual_overload_check(series, slope_threshold=0.005).flagged is True
-
-
-# ---------------------------------------------------------------------------
-# retraining
-
-def _history_dataset(weeks=8, level="SH"):
-    # 2009-12-07 is a Monday; 12 weeks from there stay inside winter, so the
-    # consumption distribution really is identical before and after retraining
-    rows = []
-    rng = np.random.default_rng(3)
-    start = dt.date(2009, 12, 7)
-    for d in range(weeks * 7):
-        date = start + dt.timedelta(days=d)
-        for hour in range(1, 25):
-            base = 0.5 + 0.3 * (8 <= hour <= 22)
-            rows.append(feature_vector(date, hour, "hour", base + float(rng.normal(0, 0.05))))
-    return Dataset(level, 1, rows, SH_ATTRIBUTES)
-
-
-def test_retrain_below_threshold_is_noop():
-    state = ShDetectorState(1, leaf_model(0.5, pe=0.1))
-    state.history = _history_dataset(4)
-    state.benign_buffer = state.history.rows[:10]
-    assert retrain_tick(state, min_rows=100) is None
-    assert len(state.benign_buffer) == 10
-
-
-def test_retrain_swaps_model_and_clears_buffer():
-    history = _history_dataset(8)
-    cut = 6 * 7 * 24
-    state = ShDetectorState(1, leaf_model(0.8, pe=0.5, kind="model_tree"))
-    state.history = history.replace_rows(history.rows[:cut])
-    state.benign_buffer = list(history.rows[cut:])
-    state.params = TreeParams(seed=1)
-    old_model = state.model
-    new_model = retrain_tick(state, min_rows=300, split_seed=2)
-    assert new_model is not None and state.model is new_model
-    assert state.model is not old_model
-    assert state.pe == new_model.trained_rmse
-    assert state.benign_buffer == []
-
-
-def test_retrain_stable_distribution_keeps_pe_close():
-    history = _history_dataset(12)
-    cut = 8 * 7 * 24
-    first = _history_dataset(12)
-
-    state = ShDetectorState(1, leaf_model(0.0, pe=1.0, kind="model_tree"))
-    state.history = history.replace_rows(history.rows[:cut])
-    state.params = TreeParams(seed=5)
-
-    # reference pe: train on the first 8 weeks alone
-    from gridwatch.ingest import split_train_validation
-    from gridwatch.trees import train_model_tree
-    train, valid = split_train_validation(state.history, 2)
-    reference = train_model_tree(train, TreeParams(seed=5), valid=valid)
-
-    state.benign_buffer = list(history.rows[cut:])
-    new_model = retrain_tick(state, min_rows=100, split_seed=2)
-    assert abs(new_model.trained_rmse - reference.trained_rmse) <= 0.2 * reference.trained_rmse
-
-
-def test_retrain_failure_keeps_old_model():
-    state = ShDetectorState(1, leaf_model(0.5, pe=0.1))
-    state.history = _history_dataset(4).replace_rows([])  # forces a split error
-    state.benign_buffer = _history_dataset(4).rows[:50]
-    old = state.model
-    with pytest.raises(Exception):
-        retrain_tick(state, min_rows=10)
-    assert state.model is old
-    assert state.benign_buffer  # untouched
+def test_decision_maker_confirms_exactly_when_decide():
+    for nb_sh in range(1, 6):
+        maker = DecisionMaker(nb_sh)
+        cases = itertools.product((False, True), range(nb_sh + 1))
+        for slot, (nacr, nb_alert) in enumerate(cases, start=1):
+            event = maker.tick(START, slot, nacr, nb_alert)
+            if decide(nacr, nb_alert, nb_sh):
+                assert (event.kind, event.meter_id, event.date, event.interval,
+                        event.interval_kind) == ("attack_confirmed", None, START, slot, "slot")
+            else:
+                assert event is None
