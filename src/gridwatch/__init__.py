@@ -10,12 +10,12 @@ end to end on synthetic neighborhoods (`synth`, `scenario`, `metrics`).
 from .attacks import ATTACK_TYPES, AttackSpec, LabeledSeries, apply_attack, generate_corpus
 from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState,
                      decide, nbh_step, sh_step)
-from .ingest import (Dataset, FeatureVector, MeterReading, build_nbh_dataset,
+from .ingest import (Dataset, FeatureVector, MeterReading, Readings, build_nbh_dataset,
                      build_sh_dataset, clean_dataset, decode_timestamp,
                      derive_features, parse_raw, split_train_validation)
 from .metrics import compute_metrics, roc_curve
 from .scenario import ScenarioConfig, benchmark_models, run_scenario
-from .synth import SynthProfile, synth_raw_lines, synth_readings
+from .synth import SynthProfile, synth_columns, synth_raw_lines, synth_readings
 from .trees import (TreeModel, TreeParams, deserialize, evaluate, predict,
                     sd_reduction, serialize, train_model_tree, train_rep_tree)
 

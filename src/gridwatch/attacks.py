@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import Dataset, clock_hour
+from .ingest import Dataset, clock_hour, date_of
 
 log = logging.getLogger(__name__)
 
@@ -101,13 +101,16 @@ class LabeledSeries:
 
 
 def series_from_dataset(ds: Dataset) -> Series:
-    rows = sorted(ds.rows, key=lambda r: (r.date, r.interval))
+    """The dataset's rows in (date, interval) order; ties keep row order."""
+    order = np.lexsort((ds.interval, ds.day))
+    days = ds.day[order]
+    dates = {d: date_of(d) for d in np.unique(days).tolist()}
     return Series(
         kind=ds.interval_kind,
         meter_id=ds.meter_id,
-        dates=tuple(r.date for r in rows),
-        intervals=tuple(r.interval for r in rows),
-        values=np.array([r.consumption for r in rows], dtype=float),
+        dates=tuple(dates[d] for d in days.tolist()),
+        intervals=tuple(ds.interval[order].tolist()),
+        values=ds.kwh[order],
     )
 
 
@@ -249,9 +252,9 @@ def generate_corpus(
             variants.append(CorpusVariant(level, attack_type, _restrict_labels(labeled, keep)))
 
     for meter_id in sorted(sh_datasets):
-        if sh_datasets[meter_id].rows:
+        if len(sh_datasets[meter_id]):
             emit("SH", sh_datasets[meter_id])
-    if nbh_dataset is not None and nbh_dataset.rows:
+    if nbh_dataset is not None and len(nbh_dataset):
         emit("NBH", nbh_dataset)
     return Corpus(variants, seed)
 

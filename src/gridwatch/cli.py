@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import itertools
 import json
 import os
 import sys
@@ -35,7 +36,7 @@ from .ingest import (Dataset, FeatureVector, build_nbh_dataset, build_sh_dataset
                      read_dataset_csv, split_train_validation, write_dataset_csv,
                      write_labeled_csv, write_removed_csv)
 from .manifest import MANIFEST_NAME, verify_manifest, write_json, write_manifest
-from .synth import synth_readings
+from .synth import synth_columns
 from .trees import deserialize, serialize, to_text, train_model_tree, train_rep_tree
 
 ENV_SEED = "GRIDWATCH_SEED"
@@ -115,7 +116,7 @@ def _write_datasets(ds: Dataset, out: Path, stem: str, split: bool, seed: int) -
     train/validation split; returns the number of rows removed."""
     ds, removed = clean_dataset(ds)
     write_dataset_csv(ds, out / "datasets" / f"{stem}.csv")
-    write_removed_csv(ds.level, ds.meter_id, removed, out / "datasets" / f"removed_{stem}.csv")
+    write_removed_csv(removed, out / "datasets" / f"removed_{stem}.csv")
     if split:
         train, valid = split_train_validation(ds, seed)
         write_dataset_csv(train, out / "splits" / f"{stem}_train.csv")
@@ -230,7 +231,7 @@ def _corpus_streams(path: Path, kind: str) -> list[tuple[tuple, list[FeatureVect
                 streams.setdefault((meter_id, rec["attack_type"]), []).append(feature_vector(
                     dt.date.fromisoformat(rec["date"]), int(rec["interval"]), kind,
                     float(rec["attacked_kwh"])))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:   # TypeError: a short row
             raise UserInputError(f"malformed corpus {path} at line {reader.line_num}: "
                                  f"missing column or bad value {exc}") from exc
     return sorted(streams.items(), key=lambda kv: (kv[0][0] or 0, kv[0][1]))
@@ -337,7 +338,8 @@ def cmd_simulate(args) -> int:
     write_json(out / "report.json", result.report)
     _write_csv(out / "detection_summary.csv", scn.summary_rows(result.report))
     for (level, attack_type), points in sorted(result.roc.items()):
-        rows = [["fpr", "tpr"]] + [[repr(x), repr(y)] for x, y in points]
+        # streamed: a pooled curve has one point per distinct score
+        rows = itertools.chain([["fpr", "tpr"]], ([repr(x), repr(y)] for x, y in points))
         _write_csv(out / f"roc_{level.lower()}_{attack_type}.csv", rows)
     _write_alerts(out / "alerts.jsonl", result.alerts)
     _write_corpora(out, result.corpus)
@@ -361,7 +363,7 @@ def cmd_simulate(args) -> int:
 def _run_benchmark(cfg: scn.ScenarioConfig, n_meters: int):
     if n_meters <= 0:
         return []
-    readings = synth_readings(cfg.profile, min(n_meters, cfg.nb_sh), cfg.weeks, cfg.seed)
+    readings = synth_columns(cfg.profile, min(n_meters, cfg.nb_sh), cfg.weeks, cfg.seed)
     sh, _removed = scn.clean_sh_datasets(scn.build_sh_datasets(readings, cfg.include_day_period))
     return scn.benchmark_models(scn.split_sh_datasets(sh, cfg.seed), ["rep_tree", "model_tree"],
                                 cfg.tree_params())

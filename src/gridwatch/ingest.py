@@ -9,6 +9,21 @@ month, season), aggregates half-hours into per-home hourly datasets and
 neighborhood half-hourly totals, removes outliers with a per-(month,
 interval) three-sigma rule, and splits datasets into training and validation
 portions by whole weeks (one validation week per four-week block).
+
+Readings and datasets are held as numpy columns: ``Readings`` has meter id,
+day code, slot and kWh; ``Dataset`` has day code, interval and kWh. The
+calendar attributes are never stored: they are gathered from one per-date
+derivation (``_calendar``) and one per-interval derivation (``_day_period``),
+the same two functions ``feature_vector`` uses, so a column and a
+``FeatureVector`` of the same (date, interval) always agree.
+
+``parse_raw`` reads its input in chunks. A chunk whose every line is
+canonical (``<digits> <5 digits> <digits>.<digits>``, one space apart, an
+optional line break at the end) is split and converted in bulk with the
+same ``int``/``float`` calls as the per-line path; a chunk with any other
+line, or with a meter id, slot or day code the per-line checks would
+reject, goes through the per-line path, which reports every bad line as a
+``ParseIssue`` with its line number.
 """
 
 from __future__ import annotations
@@ -16,11 +31,14 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import gzip
+import itertools
 import logging
 import math
+import re
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +55,9 @@ DAY_START_HOUR = 7
 DAY_END_HOUR = 22
 
 SEASONS = ("winter", "spring", "summer", "autumn")
+# Column codes of the two binary attributes: the index into these tuples.
+DAY_PERIODS = ("night", "day")
+DAY_TYPES = ("weekday", "weekend")
 
 # Attribute names in tie-breaking order for split selection. "interval" holds
 # the hour index (1..24) for SH datasets and the slot index (1..48) for NBH.
@@ -49,10 +70,19 @@ DATASET_CSV_HEADER = [
     "day_period", "day_type", "month", "season", "consumption_kwh",
 ]
 
+_MAX_METER_ID = 2 ** 63 - 1   # meter ids are held as int64
+# Lines per parse chunk; a chunk with one non-canonical line is parsed line by line.
+_CHUNK_LINES = 8192
+# Canonical raw line: at most 15 meter digits, so the id fits the int64
+# column, and a kWh of plain digits around one point, so it is finite and
+# non-negative.
+_CANONICAL_LINE = re.compile(r"[0-9]{1,15} [0-9]{5} [0-9]{1,20}\.[0-9]{1,20}\r?\n?")
 
-@dataclasses.dataclass(frozen=True)
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class MeterReading:
-    """One decoded half-hourly consumption sample."""
+    """One decoded half-hourly consumption sample (slotted: callers that
+    iterate ``Readings`` may hold hundreds of thousands of them)."""
 
     meter_id: int
     day_code: int
@@ -61,7 +91,7 @@ class MeterReading:
 
     @property
     def date(self) -> dt.date:
-        return EPOCH + dt.timedelta(days=self.day_code - 1)
+        return date_of(self.day_code)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,21 +107,142 @@ class FeatureVector:
     consumption: float   # kWh, the regression target
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
+class Readings:
+    """Decoded readings as columns, in input order.
+
+    Iterating or indexing yields ``MeterReading`` objects; ``len`` builds none.
+    """
+
+    meter: np.ndarray   # int64 meter ids
+    day: np.ndarray     # int64 day codes
+    slot: np.ndarray    # int64 half-hour slots 1..48
+    kwh: np.ndarray     # float64
+
+    @classmethod
+    def from_records(cls, records: Iterable[MeterReading]) -> "Readings":
+        records = list(records)
+        return cls(np.array([r.meter_id for r in records], dtype=np.int64),
+                   np.array([r.day_code for r in records], dtype=np.int64),
+                   np.array([r.slot for r in records], dtype=np.int64),
+                   np.array([r.kwh for r in records], dtype=np.float64))
+
+    def __len__(self) -> int:
+        return self.kwh.size
+
+    def __iter__(self) -> Iterator[MeterReading]:
+        return map(MeterReading, self.meter.tolist(), self.day.tolist(),
+                   self.slot.tolist(), self.kwh.tolist())
+
+    def __getitem__(self, i: int) -> MeterReading:
+        return MeterReading(int(self.meter[i]), int(self.day[i]), int(self.slot[i]),
+                            float(self.kwh[i]))
+
+    def take(self, idx: np.ndarray) -> "Readings":
+        return Readings(self.meter[idx], self.day[idx], self.slot[idx], self.kwh[idx])
+
+
+def _concat_readings(parts: Sequence[Readings]) -> Readings:
+    if not parts:
+        return Readings.from_records([])
+    return Readings(*(np.concatenate([getattr(p, f) for p in parts])
+                      for f in ("meter", "day", "slot", "kwh")))
+
+
+def _as_readings(readings: Readings | Iterable[MeterReading]) -> Readings:
+    if isinstance(readings, Readings):
+        return readings
+    return Readings.from_records(readings)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DayTable:
+    """The calendar of a day-code column: one entry per distinct day code."""
+
+    inverse: np.ndarray                      # row -> index of its day in the table
+    dates: list[dt.date]
+    attributes: list[tuple[str, int, str]]   # (day_type, month, season) of each date
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class Dataset:
-    """An ordered collection of feature vectors for one monitoring level."""
+    """The rows of one monitoring level as columns, in row order.
+
+    The calendar attributes of a row are derived from its day code and
+    interval (see ``calendar``); ``rows`` renders the rows as feature
+    vectors for the per-observation API.
+    """
 
     level: str                      # "SH" | "NBH"
     meter_id: int | None            # None for NBH
-    rows: list[FeatureVector]
+    day: np.ndarray                 # int64 day codes (day 1 = EPOCH)
+    interval: np.ndarray            # int64 hour 1..24 (SH) or slot 1..48 (NBH)
+    kwh: np.ndarray                 # float64 consumption, the regression target
     attributes: tuple[str, ...]     # model-input attributes, in declared order
+
+    @classmethod
+    def from_rows(cls, level: str, meter_id: int | None, rows: Iterable[FeatureVector],
+                  attributes: Sequence[str]) -> "Dataset":
+        """A dataset of feature vectors, whose attributes must be the derived ones."""
+        rows = list(rows)
+        ds = cls(level, meter_id,
+                 np.array([day_code_of(r.date) for r in rows], dtype=np.int64),
+                 np.array([r.interval for r in rows], dtype=np.int64),
+                 np.array([r.consumption for r in rows], dtype=np.float64),
+                 tuple(attributes))
+        derived = [(r.day_period, r.day_type, r.month, r.season) for r in ds.rows]
+        if derived != [(r.day_period, r.day_type, r.month, r.season) for r in rows]:
+            raise ContractViolation("feature vectors disagree with the calendar of their "
+                                    "date and interval")
+        return ds
+
+    def __len__(self) -> int:
+        return self.kwh.size
 
     @property
     def interval_kind(self) -> str:
         return "hour" if self.level == "SH" else "slot"
 
-    def replace_rows(self, rows: list[FeatureVector]) -> "Dataset":
-        return Dataset(self.level, self.meter_id, rows, self.attributes)
+    def take(self, idx: np.ndarray) -> "Dataset":
+        """The rows idx, in that order."""
+        return dataclasses.replace(self, day=self.day[idx], interval=self.interval[idx],
+                                   kwh=self.kwh[idx])
+
+    def _day_table(self) -> _DayTable:
+        days, inverse = np.unique(self.day, return_inverse=True)
+        dates = [date_of(d) for d in days.tolist()]
+        return _DayTable(inverse, dates, [_calendar(d) for d in dates])
+
+    def _day_periods(self) -> np.ndarray:
+        """Per row, the index into DAY_PERIODS of its interval."""
+        intervals, inverse = np.unique(self.interval, return_inverse=True)
+        kind = self.interval_kind
+        codes = [DAY_PERIODS.index(_day_period(i, kind)) for i in intervals.tolist()]
+        return np.array(codes, dtype=np.int64)[inverse]
+
+    def calendar(self) -> dict[str, np.ndarray]:
+        """Per-row codes of the derived attributes: day_period (DAY_PERIODS
+        index), day_type (DAY_TYPES index), month, season (SEASONS index)."""
+        table = self._day_table()
+        per_day = np.array([(DAY_TYPES.index(t), m, SEASONS.index(s))
+                            for t, m, s in table.attributes], dtype=np.int64).reshape(-1, 3)
+        per_row = per_day[table.inverse]
+        return {"day_period": self._day_periods(), "day_type": per_row[:, 0],
+                "month": per_row[:, 1], "season": per_row[:, 2]}
+
+    def vectors(self, idx: Iterable[int]) -> list[FeatureVector]:
+        """Feature vectors of the rows idx."""
+        idx = np.asarray(idx, dtype=np.intp)
+        table = self._day_table()
+        return [FeatureVector(table.dates[d], i, DAY_PERIODS[p], *table.attributes[d], k)
+                for d, i, p, k in zip(table.inverse[idx].tolist(), self.interval[idx].tolist(),
+                                      self._day_periods()[idx].tolist(),
+                                      self.kwh[idx].tolist())]
+
+    @property
+    def rows(self) -> list[FeatureVector]:
+        """Every row as a feature vector (built on each access)."""
+        return self.vectors(range(len(self)))
 
 
 @dataclasses.dataclass
@@ -103,7 +254,7 @@ class ParseIssue:
 
 @dataclasses.dataclass
 class ParseResult:
-    readings: list[MeterReading]
+    readings: Readings
     issues: list[ParseIssue]
 
 
@@ -113,6 +264,14 @@ class BuildReport:
 
     flagged: list[tuple[dt.date, int]]  # (date, hour) excluded / (date, slot) partial
     duplicates: int = 0
+
+
+def date_of(day_code: int) -> dt.date:
+    return EPOCH + dt.timedelta(days=day_code - 1)
+
+
+def day_code_of(date: dt.date) -> int:
+    return (date - EPOCH).days + 1
 
 
 def encode_timestamp(day_code: int, slot: int) -> int:
@@ -128,7 +287,7 @@ def decode_timestamp(code: int) -> tuple[dt.date, int]:
     if not 1 <= slot <= SLOTS_PER_DAY:
         raise RangeError(f"slot {slot} outside 1..{SLOTS_PER_DAY} in code {code}")
     try:
-        return EPOCH + dt.timedelta(days=day_code - 1), slot
+        return date_of(day_code), slot
     except OverflowError:
         raise RangeError(f"day code {day_code} beyond the last calendar date") from None
 
@@ -157,17 +316,33 @@ def season_of_month(month: int) -> str:
     return "autumn"
 
 
+@functools.lru_cache(maxsize=4096)
+def _calendar(date: dt.date) -> tuple[str, int, str]:
+    """(day_type, month, season) of a date: the one per-date derivation.
+
+    Cached (immutable results, at most 4096 dates, over eleven years) because
+    every streamed observation asks for it."""
+    day_type = "weekend" if date.weekday() >= 5 else "weekday"
+    return day_type, date.month, season_of_month(date.month)
+
+
+@functools.cache
+def _day_period(interval: int, kind: str) -> str:
+    """"day" or "night" of an hour/slot interval: the one per-interval derivation.
+
+    Cached: only the 72 valid (interval, kind) pairs return, the rest raise."""
+    return "day" if DAY_START_HOUR <= clock_hour(interval, kind) <= DAY_END_HOUR else "night"
+
+
 def derive_features(date: dt.date, interval: int, kind: str = "hour") -> tuple[str, str, int, str]:
     """Return (day_period, day_type, month, season) for a date and interval."""
-    ch = clock_hour(interval, kind)
-    day_period = "day" if DAY_START_HOUR <= ch <= DAY_END_HOUR else "night"
-    day_type = "weekend" if date.weekday() >= 5 else "weekday"
-    return day_period, day_type, date.month, season_of_month(date.month)
+    return (_day_period(interval, kind), *_calendar(date))
 
 
 def feature_vector(date: dt.date, interval: int, kind: str, consumption: float) -> FeatureVector:
-    day_period, day_type, month, season = derive_features(date, interval, kind)
-    return FeatureVector(date, interval, day_period, day_type, month, season, consumption)
+    day_type, month, season = _calendar(date)
+    return FeatureVector(date, interval, _day_period(interval, kind), day_type, month, season,
+                         consumption)
 
 
 def parse_raw(lines: Iterable[str]) -> ParseResult:
@@ -175,11 +350,48 @@ def parse_raw(lines: Iterable[str]) -> ParseResult:
 
     The meter id must be ASCII digits and the timestamp exactly five ASCII
     digits. Malformed lines are skipped and recorded as issues rather than
-    aborting the parse; blank lines are ignored.
+    aborting the parse; blank lines are ignored. Chunks of canonical lines
+    take a bulk path with the same result as the per-line one (see the
+    module docstring).
     """
-    readings: list[MeterReading] = []
+    parts: list[Readings] = []
     issues: list[ParseIssue] = []
-    for line_no, raw in enumerate(lines, start=1):
+    it = iter(lines)
+    line_no = 0
+    while chunk := list(itertools.islice(it, _CHUNK_LINES)):
+        part = _parse_canonical(chunk)
+        if part is None:
+            part, chunk_issues = _parse_lines(chunk, line_no + 1)
+            issues.extend(chunk_issues)
+        parts.append(part)
+        line_no += len(chunk)
+    if issues:
+        log.warning("parse_raw: %d malformed line(s) skipped", len(issues))
+    return ParseResult(_concat_readings(parts), issues)
+
+
+def _parse_canonical(chunk: list[str]) -> Readings | None:
+    """The chunk's readings when every line is canonical and valid, else None."""
+    if not all(map(_CANONICAL_LINE.fullmatch, chunk)):
+        return None
+    fields = " ".join(chunk).split()
+    meter = np.array(list(map(int, fields[0::3])), dtype=np.int64)
+    day, slot = np.divmod(np.array(list(map(int, fields[1::3])), dtype=np.int64), 100)
+    kwh = np.array(list(map(float, fields[2::3])), dtype=np.float64)
+    if not ((meter > 0).all() and (day >= 1).all()
+            and ((slot >= 1) & (slot <= SLOTS_PER_DAY)).all()):
+        return None
+    return Readings(meter, day, slot, kwh)
+
+
+def _parse_lines(lines: Iterable[str], first_line_no: int = 1) -> tuple[Readings, list[ParseIssue]]:
+    """The per-line parse: every line checked on its own, bad ones reported."""
+    meters: list[int] = []
+    days: list[int] = []
+    slots: list[int] = []
+    kwhs: list[float] = []
+    issues: list[ParseIssue] = []
+    for line_no, raw in enumerate(lines, start=first_line_no):
         line = raw.strip()
         if not line:
             continue
@@ -207,6 +419,9 @@ def parse_raw(lines: Iterable[str]) -> ParseResult:
         if meter_id <= 0:
             issues.append(ParseIssue(line_no, f"meter id {meter_id} not positive", line))
             continue
+        if meter_id > _MAX_METER_ID:
+            issues.append(ParseIssue(line_no, f"meter id {meter_id} above {_MAX_METER_ID}", line))
+            continue
         if not math.isfinite(kwh):
             issues.append(ParseIssue(line_no, f"non-finite consumption {kwh_field!r}", line))
             continue
@@ -218,10 +433,13 @@ def parse_raw(lines: Iterable[str]) -> ParseResult:
         except RangeError as exc:
             issues.append(ParseIssue(line_no, str(exc), line))
             continue
-        readings.append(MeterReading(meter_id, code // 100, slot, kwh))
-    if issues:
-        log.warning("parse_raw: %d malformed line(s) skipped", len(issues))
-    return ParseResult(readings, issues)
+        meters.append(meter_id)
+        days.append(code // 100)
+        slots.append(slot)
+        kwhs.append(kwh)
+    readings = Readings(np.array(meters, dtype=np.int64), np.array(days, dtype=np.int64),
+                        np.array(slots, dtype=np.int64), np.array(kwhs, dtype=np.float64))
+    return readings, issues
 
 
 def open_raw(path: str | Path) -> Iterator[str]:
@@ -235,16 +453,25 @@ def open_raw(path: str | Path) -> Iterator[str]:
             yield from fh
 
 
-def group_by_meter(readings: Iterable[MeterReading]) -> dict[int, list[MeterReading]]:
+def _runs(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values, plus the end, in a sorted array."""
+    if not sorted_keys.size:
+        return np.zeros(1, dtype=np.int64)
+    change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    return np.concatenate(([0], change, [sorted_keys.size]))
+
+
+def group_by_meter(readings: Readings | Iterable[MeterReading]) -> dict[int, Readings]:
     """Each meter's readings in input order, keyed and ordered by meter id."""
-    per_meter: dict[int, list[MeterReading]] = {}
-    for r in readings:
-        per_meter.setdefault(r.meter_id, []).append(r)
-    return dict(sorted(per_meter.items()))
+    r = _as_readings(readings)
+    order = np.argsort(r.meter, kind="stable")
+    bounds = _runs(r.meter[order])
+    return {int(r.meter[order[a]]): r.take(order[a:b])
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())}
 
 
 def build_sh_dataset(
-    readings: Iterable[MeterReading],
+    readings: Readings | Iterable[MeterReading],
     include_day_period: bool = False,
 ) -> tuple[Dataset, BuildReport]:
     """Aggregate one meter's half-hour readings into an hourly SH dataset.
@@ -253,108 +480,94 @@ def build_sh_dataset(
     the two half-hours missing are excluded and flagged in the report;
     duplicate (day, slot) readings keep the first occurrence.
     """
-    readings = list(readings)
-    meter_ids = {r.meter_id for r in readings}
-    if len(meter_ids) > 1:
-        raise ContractViolation(f"build_sh_dataset got readings from meters {sorted(meter_ids)}")
-    meter_id = next(iter(meter_ids)) if meter_ids else None
+    r = _as_readings(readings)
+    meter_ids = np.unique(r.meter)
+    if meter_ids.size > 1:
+        raise ContractViolation(f"build_sh_dataset got readings from meters {meter_ids.tolist()}")
+    meter_id = int(meter_ids[0]) if meter_ids.size else None
 
-    by_day: dict[int, dict[int, float]] = {}
-    duplicates = 0
-    for r in readings:
-        slots = by_day.setdefault(r.day_code, {})
-        if r.slot in slots:
-            duplicates += 1
-            continue
-        slots[r.slot] = r.kwh
+    # first occurrence of each (day, slot), in (day, slot) order
+    keys, first = np.unique(r.day * 100 + r.slot, return_index=True)
+    kwh = r.kwh[first]
+    day, slot = np.divmod(keys, 100)
+    hour = (slot + 1) // 2
+    bounds = _runs(day * 100 + hour)
+    starts, counts = bounds[:-1], np.diff(bounds)
+    pairs = starts[counts == 2]          # odd slot at pairs, even slot at pairs + 1
+    lone = starts[counts == 1]
 
-    rows: list[FeatureVector] = []
-    flagged: list[tuple[dt.date, int]] = []
-    for day_code in sorted(by_day):
-        date = EPOCH + dt.timedelta(days=day_code - 1)
-        slots = by_day[day_code]
-        for hour in range(1, HOURS_PER_DAY + 1):
-            first = slots.get(2 * hour - 1)
-            second = slots.get(2 * hour)
-            if first is not None and second is not None:
-                rows.append(feature_vector(date, hour, "hour", first + second))
-            elif first is not None or second is not None:
-                flagged.append((date, hour))
-
-    attributes = SH_ATTRIBUTES_WITH_DAY_PERIOD if include_day_period else SH_ATTRIBUTES
-    ds = Dataset("SH", meter_id, rows, attributes)
-    return ds, BuildReport(flagged, duplicates)
+    ds = Dataset("SH", meter_id, day[pairs], hour[pairs], kwh[pairs] + kwh[pairs + 1],
+                 _attributes("SH", include_day_period))
+    flagged = [(date_of(d), h) for d, h in zip(day[lone].tolist(), hour[lone].tolist())]
+    return ds, BuildReport(flagged, len(r) - keys.size)
 
 
-def build_nbh_dataset(readings: Iterable[MeterReading]) -> tuple[Dataset, BuildReport]:
+def build_nbh_dataset(readings: Readings | Iterable[MeterReading]) -> tuple[Dataset, BuildReport]:
     """Sum readings across meters into the neighborhood half-hourly dataset.
 
     Slots where some meters are missing still contribute the total over the
-    meters present; those slots are flagged as partial in the report.
+    meters present; those slots are flagged as partial in the report. A
+    slot's total adds its meters' readings one at a time in meter-id order,
+    so it does not depend on how the Python version sums floats.
     """
-    readings = list(readings)
-    all_meters = {r.meter_id for r in readings}
-    by_slot: dict[tuple[int, int], dict[int, float]] = {}
-    duplicates = 0
-    for r in readings:
-        per_meter = by_slot.setdefault((r.day_code, r.slot), {})
-        if r.meter_id in per_meter:
-            duplicates += 1
-            continue
-        per_meter[r.meter_id] = r.kwh
+    r = _as_readings(readings)
+    n_meters = np.unique(r.meter).size
+    # first occurrence of each (day, slot, meter), in (day, slot, meter) order
+    order = np.lexsort((r.meter, r.slot, r.day))
+    slot_key = (r.day * 100 + r.slot)[order]
+    meter = r.meter[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = (slot_key[1:] != slot_key[:-1]) | (meter[1:] != meter[:-1])
+    slot_key, kwh = slot_key[keep], r.kwh[order[keep]]
 
-    rows: list[FeatureVector] = []
-    flagged: list[tuple[dt.date, int]] = []
-    for day_code, slot in sorted(by_slot):
-        date = EPOCH + dt.timedelta(days=day_code - 1)
-        per_meter = by_slot[(day_code, slot)]
-        total = sum(per_meter[m] for m in sorted(per_meter))
-        rows.append(feature_vector(date, slot, "slot", total))
-        if len(per_meter) < len(all_meters):
-            flagged.append((date, slot))
+    bounds = _runs(slot_key)
+    starts, counts = bounds[:-1], np.diff(bounds)
+    # bincount adds its weights one by one in array order, here meter-id order
+    total = np.bincount(np.repeat(np.arange(starts.size), counts), kwh, starts.size)
 
-    ds = Dataset("NBH", None, rows, NBH_ATTRIBUTES)
-    return ds, BuildReport(flagged, duplicates)
+    day, slot = np.divmod(slot_key[starts], 100)
+    partial = counts < n_meters
+    flagged = [(date_of(d), s) for d, s in zip(day[partial].tolist(), slot[partial].tolist())]
+    ds = Dataset("NBH", None, day, slot, total, NBH_ATTRIBUTES)
+    return ds, BuildReport(flagged, len(r) - slot_key.size)
 
 
-def clean_dataset(ds: Dataset) -> tuple[Dataset, list[FeatureVector]]:
+def _by_date_and_interval(ds: Dataset, idx: np.ndarray) -> np.ndarray:
+    """idx stably sorted by (day, interval)."""
+    return idx[np.lexsort((ds.interval[idx], ds.day[idx]))]
+
+
+def clean_dataset(ds: Dataset) -> tuple[Dataset, Dataset]:
     """Remove consumption outliers beyond 3 sigma of their group mean.
 
     Groups are (month, interval); mean and sigma are the population
-    statistics of each group. Groups with sigma = 0 keep all rows, and
-    groups with fewer than two rows are skipped with a warning.
+    statistics of each group, over its rows in row order. Groups with
+    sigma = 0 keep all rows, and groups with fewer than two rows are skipped
+    with a warning. Returns the kept and the removed rows, each in (date,
+    interval) order.
     """
-    groups: dict[tuple[int, int], list[FeatureVector]] = {}
-    for row in ds.rows:
-        groups.setdefault((row.month, row.interval), []).append(row)
-
-    kept: list[FeatureVector] = []
-    removed: list[FeatureVector] = []
+    key = ds.calendar()["month"] * 100 + ds.interval
+    order = np.argsort(key, kind="stable")
+    bounds = _runs(key[order])
+    removed = np.zeros(len(ds), dtype=bool)
     skipped_groups = 0
-    for key in sorted(groups):
-        rows = groups[key]
-        if len(rows) < 2:
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b - a < 2:
             skipped_groups += 1
-            kept.extend(rows)
             continue
-        values = np.array([r.consumption for r in rows])
+        idx = order[a:b]
+        values = ds.kwh[idx]
         mu = float(values.mean())
         sigma = float(values.std())
         if sigma == 0.0:
-            kept.extend(rows)
             continue
-        for row in rows:
-            if abs(row.consumption - mu) > 3.0 * sigma:
-                removed.append(row)
-            else:
-                kept.append(row)
+        removed[idx] = np.abs(values - mu) > 3.0 * sigma
 
     if skipped_groups:
         log.warning("clean_dataset: %d (month, interval) group(s) below 2 rows skipped",
                     skipped_groups)
-    kept.sort(key=lambda r: (r.date, r.interval))
-    removed.sort(key=lambda r: (r.date, r.interval))
-    return ds.replace_rows(kept), removed
+    return (ds.take(_by_date_and_interval(ds, np.flatnonzero(~removed))),
+            ds.take(_by_date_and_interval(ds, np.flatnonzero(removed))))
 
 
 def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
@@ -365,15 +578,15 @@ def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     validation; leftover weeks at either edge stay in training. The same
     seed always produces the same membership.
     """
-    if not ds.rows:
+    if not len(ds):
         raise SplitError("cannot split an empty dataset")
-    start = min(r.date for r in ds.rows)
-    end = max(r.date for r in ds.rows)
-    span_days = (end - start).days + 1
+    start = int(ds.day.min())
+    end = int(ds.day.max())
+    span_days = end - start + 1
     if span_days < 28:
         raise SplitError(f"dataset spans {span_days} day(s); need at least 4 whole weeks")
-    anchor = start + dt.timedelta(days=(7 - start.weekday()) % 7)  # first Monday >= start
-    complete_weeks = ((end - anchor).days + 1) // 7
+    anchor = start + (7 - date_of(start).weekday()) % 7  # first Monday >= start
+    complete_weeks = (end - anchor + 1) // 7
     n_blocks = complete_weeks // 4
     if n_blocks < 1:
         raise SplitError(
@@ -381,82 +594,161 @@ def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
         )
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
-    valid_weeks = {4 * b + int(rng.integers(4)) for b in range(n_blocks)}
-
-    train_rows: list[FeatureVector] = []
-    valid_rows: list[FeatureVector] = []
-    for row in ds.rows:
-        week = (row.date - anchor).days // 7
-        if week in valid_weeks:
-            valid_rows.append(row)
-        else:
-            train_rows.append(row)
-    return ds.replace_rows(train_rows), ds.replace_rows(valid_rows)
+    valid_weeks = [4 * b + int(rng.integers(4)) for b in range(n_blocks)]
+    valid = np.isin((ds.day - anchor) // 7, valid_weeks)
+    return ds.take(np.flatnonzero(~valid)), ds.take(np.flatnonzero(valid))
 
 
-def _write_rows(path: str | Path, level: str, meter_id: int | None,
-                rows: Iterable[FeatureVector], label: str | None = None) -> None:
+def _write_rows(path: str | Path, ds: Dataset, label: str | None = None) -> None:
     """Write rows in the dataset schema, plus a trailing label column if given.
 
     The header is pinned: the ``interval`` column holds the interval kind
     ("hour" for SH, "slot" for NBH) and ``hour_or_slot`` holds its number.
+    Lines are what ``csv.writer`` writes for these fields (no field needs
+    quoting), gathered from per-day and per-interval text.
     """
-    kind = "hour" if level == "SH" else "slot"
-    meter = "" if meter_id is None else meter_id
-    header, tail = DATASET_CSV_HEADER, []
+    kind = ds.interval_kind
+    meter = "" if ds.meter_id is None else ds.meter_id
+    header, tail = DATASET_CSV_HEADER, "\r\n"
     if label is not None:
-        header, tail = header + ["label"], [label]
+        header, tail = header + ["label"], f",{label}\r\n"
+    table = ds._day_table()
+    head = f"{ds.level},{meter},"
+    day_text = [f"{head}{date.isoformat()},{kind}," for date in table.dates]
+    cal_text = [f",{day_type},{month},{season}," for day_type, month, season in table.attributes]
+    periods = ds._day_periods()
+    lines = [f"{day_text[d]}{i},{DAY_PERIODS[p]}{cal_text[d]}{k!r}{tail}"
+             for d, i, p, k in zip(table.inverse.tolist(), ds.interval.tolist(),
+                                   periods.tolist(), ds.kwh.tolist())]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([level, meter, row.date.isoformat(), kind, row.interval,
-                             row.day_period, row.day_type, row.month, row.season,
-                             repr(row.consumption), *tail])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(lines)
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
-    _write_rows(path, ds.level, ds.meter_id, ds.rows)
+    _write_rows(path, ds)
 
 
-def write_removed_csv(level: str, meter_id: int | None, removed: list[FeatureVector],
-                      path: str | Path) -> None:
+def write_removed_csv(removed: Dataset, path: str | Path) -> None:
     """Persist the cleaning report (removed rows) in the dataset schema."""
-    _write_rows(path, level, meter_id, removed)
+    _write_rows(path, removed)
 
 
 def write_labeled_csv(level: str, meter_id: int | None, rows: list[FeatureVector],
                       label: str, path: str | Path) -> None:
     """Dataset schema plus a trailing label column (suspect/attack/benign)."""
-    _write_rows(path, level, meter_id, rows, label)
+    _write_rows(path, Dataset.from_rows(level, meter_id, rows, ()), label)
+
+
+def _record_line(path: str | Path, index: int) -> int:
+    """Line number of the index-th non-empty record after the header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        seen = -1
+        for rec in reader:
+            if rec:
+                seen += 1
+                if seen == index + 1:
+                    return reader.line_num
+    return reader.line_num
 
 
 def read_dataset_csv(path: str | Path, include_day_period: bool = False) -> Dataset:
-    rows: list[FeatureVector] = []
-    level = "SH"
-    meter_id: int | None = None
+    """Read a dataset CSV back into columns.
+
+    Every row must hold the file's one level ("SH" or "NBH") and meter id,
+    and its derived columns (day_period, day_type, month, season) must be
+    the ones its date and interval give. A missing column, a malformed
+    value or a disagreement raises ``UserInputError`` naming the file and
+    line.
+    """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        records = [rec for rec in csv.reader(fh) if rec]
+    header = records.pop(0) if records else []
+
+    def fail(i: int, why: str) -> UserInputError:
+        return UserInputError(f"malformed dataset {path} at line {_record_line(path, i)}: {why}")
+
+    if not records:
+        return Dataset("SH", None, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                       np.zeros(0), _attributes("SH", include_day_period))
+    if min(map(len, records)) < len(header):
+        short = next(i for i, rec in enumerate(records) if len(rec) < len(header))
+        raise fail(short, f"missing column or bad value: {len(records[short])} field(s)")
+    columns = {}
+    for name in DATASET_CSV_HEADER:
+        if name == "interval":      # the interval kind follows from the level
+            continue
+        if name not in header:
+            raise fail(0, f"missing column or bad value {name!r}")
+        j = header.index(name)
+        columns[name] = [rec[j] for rec in records]
+
+    def convert(name: str, fn) -> list:
+        values = columns[name]
         try:
-            for rec in reader:
-                level = rec["level"]
-                meter_id = int(rec["meter_id"]) if rec["meter_id"] else None
-                rows.append(FeatureVector(
-                    date=dt.date.fromisoformat(rec["date"]),
-                    interval=int(rec["hour_or_slot"]),
-                    day_period=rec["day_period"],
-                    day_type=rec["day_type"],
-                    month=int(rec["month"]),
-                    season=rec["season"],
-                    consumption=float(rec["consumption_kwh"]),
-                ))
-        except (KeyError, ValueError) as exc:
-            raise UserInputError(f"malformed dataset {path} at line {reader.line_num}: "
-                                 f"missing column or bad value {exc}") from exc
+            return list(map(fn, values))
+        except ValueError:
+            for i, v in enumerate(values):
+                try:
+                    fn(v)
+                except ValueError as exc:
+                    raise fail(i, f"missing column or bad value {exc}") from exc
+            raise
+
+    level, meter = columns["level"][-1], columns["meter_id"][-1]
+    for name, want in (("level", level), ("meter_id", meter)):
+        i = next((i for i, v in enumerate(columns[name]) if v != want), None)
+        if i is not None:
+            raise fail(i, f"{name} {columns[name][i]!r} differs from the file's {want!r}")
+    if level not in ("SH", "NBH"):
+        raise fail(0, f"level {level!r} is neither 'SH' nor 'NBH'")
+    try:
+        meter_id = int(meter) if meter else None
+    except ValueError as exc:
+        raise fail(0, f"missing column or bad value {exc}") from exc
+    kind = "hour" if level == "SH" else "slot"
+
+    dates = columns["date"]
+    parsed: dict[str, dt.date] = {}
+    for i, text in enumerate(dates):
+        if text not in parsed:
+            try:
+                parsed[text] = dt.date.fromisoformat(text)
+            except ValueError as exc:
+                raise fail(i, f"missing column or bad value {exc}") from exc
+    intervals = convert("hour_or_slot", int)
+    periods: dict[int, str] = {}
+    for i, interval in enumerate(intervals):
+        if interval not in periods:
+            try:
+                periods[interval] = _day_period(interval, kind)
+            except RangeError as exc:
+                raise fail(i, str(exc)) from exc
+
+    calendar = {text: _calendar(date) for text, date in parsed.items()}
+    derived = {"day_period": [periods[i] for i in intervals],
+               "day_type": [calendar[t][0] for t in dates],
+               "month": [str(calendar[t][1]) for t in dates],
+               "season": [calendar[t][2] for t in dates]}
+    for name, want in derived.items():
+        got = columns[name]
+        if got != want:
+            i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            raise fail(i, f"{name} {got[i]!r} does not match date {dates[i]} and {kind} "
+                          f"{intervals[i]} (expected {want[i]!r})")
+
+    day_codes = {text: day_code_of(date) for text, date in parsed.items()}
+    return Dataset(level, meter_id,
+                   np.array([day_codes[t] for t in dates], dtype=np.int64),
+                   np.array(intervals, dtype=np.int64),
+                   np.array(convert("consumption_kwh", float), dtype=np.float64),
+                   _attributes(level, include_day_period))
+
+
+def _attributes(level: str, include_day_period: bool) -> tuple[str, ...]:
     if level == "NBH":
-        attributes = NBH_ATTRIBUTES
-    else:
-        attributes = SH_ATTRIBUTES_WITH_DAY_PERIOD if include_day_period else SH_ATTRIBUTES
-    return Dataset(level, meter_id, rows, attributes)
+        return NBH_ATTRIBUTES
+    return SH_ATTRIBUTES_WITH_DAY_PERIOD if include_day_period else SH_ATTRIBUTES

@@ -34,7 +34,7 @@ from . import attacks as atk
 from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState,
                      _nbh_decide, _sh_decide)
 from .errors import ScenarioError
-from .ingest import (Dataset, MeterReading, ParseResult, build_nbh_dataset,
+from .ingest import (Dataset, MeterReading, ParseResult, Readings, build_nbh_dataset,
                      build_sh_dataset, clean_dataset, feature_vector, group_by_meter,
                      open_raw, parse_raw, split_train_validation)
 from .metrics import rates_from_counts, roc_curve
@@ -248,7 +248,7 @@ def _ingest(cfg: ScenarioConfig) -> ParseResult:
     return parse_raw(lines)
 
 
-def build_sh_datasets(readings: Iterable[MeterReading],
+def build_sh_datasets(readings: Readings | Iterable[MeterReading],
                       include_day_period: bool) -> dict[int, Dataset]:
     """One hourly dataset per meter, keyed and ordered by meter id."""
     return {m: build_sh_dataset(rs, include_day_period)[0]
@@ -266,7 +266,7 @@ def split_sh_datasets(sh: dict[int, Dataset], seed: int) -> dict[int, tuple[Data
     return {m: split_train_validation(ds, seed) for m, ds in sh.items()}
 
 
-def _build(readings: list[MeterReading], cfg: ScenarioConfig):
+def _build(readings: Readings, cfg: ScenarioConfig):
     return build_sh_datasets(readings, cfg.include_day_period), build_nbh_dataset(readings)[0]
 
 

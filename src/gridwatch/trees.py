@@ -144,16 +144,16 @@ def encode_value(attr: str, fv: FeatureVector) -> float:
     raise ValueError(f"unknown attribute {attr!r}")
 
 
-def encode_matrix(rows: Sequence[FeatureVector], attributes: Sequence[str]) -> np.ndarray:
-    out = np.empty((len(rows), len(attributes)))
-    for i, fv in enumerate(rows):
-        for j, attr in enumerate(attributes):
-            out[i, j] = encode_value(attr, fv)
+def encode_matrix(ds: Dataset) -> np.ndarray:
+    """One row per dataset row, one column per attribute of ``ds.attributes``;
+    entry (i, j) equals ``encode_value`` of attribute j on row i's vector."""
+    codes = {"interval": ds.interval, **ds.calendar()}
+    out = np.empty((len(ds), len(ds.attributes)))
+    for j, attr in enumerate(ds.attributes):
+        if attr not in codes:
+            raise ValueError(f"unknown attribute {attr!r}")
+        out[:, j] = codes[attr]
     return out
-
-
-def target_vector(rows: Sequence[FeatureVector]) -> np.ndarray:
-    return np.array([fv.consumption for fv in rows], dtype=float)
 
 
 def design_columns(attributes: Sequence[str]) -> list[str]:
@@ -428,12 +428,12 @@ def train_rep_tree(train: Dataset, params: TreeParams | None = None,
     """
     params = params or TreeParams()
     params.validate()
-    if not train.rows:
+    if not len(train):
         raise TrainingError("rep tree: empty training set")
     t0 = time.perf_counter()
-    X = encode_matrix(train.rows, train.attributes)
-    y = target_vector(train.rows)
-    n = len(train.rows)
+    X = encode_matrix(train)
+    y = train.kwh
+    n = len(train)
 
     rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0x9E9)))
     perm = rng.permutation(n)
@@ -540,13 +540,13 @@ def train_model_tree(train: Dataset, params: TreeParams | None = None,
     """
     params = params or TreeParams()
     params.validate()
-    if not train.rows:
+    if not len(train):
         raise TrainingError("model tree: empty training set")
     t0 = time.perf_counter()
-    X = encode_matrix(train.rows, train.attributes)
+    X = encode_matrix(train)
     D = design_matrix(X, train.attributes)
-    y = target_vector(train.rows)
-    idx = np.arange(len(train.rows))
+    y = train.kwh
+    idx = np.arange(len(train))
 
     sd_floor = 0.05 * _sd(y)
     root = _grow(X, y, idx, train.attributes, params.min_instances, sd_floor)
@@ -560,7 +560,7 @@ def train_model_tree(train: Dataset, params: TreeParams | None = None,
         smoothing=params.smoothing,
         smoothing_k=params.smoothing_k,
         training_meta={
-            "rows": len(train.rows),
+            "rows": len(train),
             "split_criterion": "sd_reduction",
             "linear_fallbacks": stats["linear_fallbacks"],
             "pruned_nodes": stats["pruned_nodes"],
@@ -575,7 +575,7 @@ def train_model_tree(train: Dataset, params: TreeParams | None = None,
 
 def _stamp_errors(model: TreeModel, train: Dataset, valid: Dataset | None,
                   fallback_rmse: float | None) -> None:
-    if valid is not None and valid.rows:
+    if valid is not None and len(valid):
         scores = evaluate(model, valid)
         model.trained_rmse = scores["rmse"]
         model.trained_mae = scores["mae"]
@@ -627,11 +627,21 @@ def _walk(model: TreeModel, fv: FeatureVector) -> float:
     return max(0.0, raw)
 
 
+def _predict_dataset(model: TreeModel, ds: Dataset) -> np.ndarray:
+    """``predict`` of every row of a dataset, called once per calendar key."""
+    cal = ds.calendar()
+    key = (((ds.interval * 2 + cal["day_period"]) * 2 + cal["day_type"]) * 13
+           + cal["month"]) * 4 + cal["season"]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    values = np.array([predict(model, fv) for fv in ds.vectors(first)])
+    return values[inverse]
+
+
 def evaluate(model: TreeModel, valid: Dataset) -> dict:
     """MAE and RMSE of the model over a validation dataset."""
-    if not valid.rows:
+    if not len(valid):
         raise ValueError("evaluate: empty validation set")
-    errors = np.array([predict(model, fv) - fv.consumption for fv in valid.rows])
+    errors = _predict_dataset(model, valid) - valid.kwh
     return {
         "mae": float(np.abs(errors).mean()),
         "rmse": float(np.sqrt((errors ** 2).mean())),

@@ -23,8 +23,7 @@ from gridwatch.metrics import rates_from_counts
 from gridwatch.scenario import ScenarioConfig, run_scenario, train_sh_fleet
 from gridwatch.synth import SynthProfile, synth_readings
 from gridwatch.trees import (Leaf, TreeModel, TreeParams, _grow, encode_matrix,
-                             encode_value, target_vector, train_model_tree,
-                             train_rep_tree)
+                             encode_value, train_model_tree, train_rep_tree)
 
 DESK = ScenarioConfig(nb_sh=50, weeks=16, seed=7, jobs=1)
 
@@ -62,8 +61,9 @@ def test_criterion_01_split_oracle():
     checked = 0
     for _ in range(100):
         rows = _random_rows(rng, int(rng.integers(12, 201)))
-        X = encode_matrix(rows, SH_ATTRIBUTES)
-        y = target_vector(rows)
+        ds = Dataset.from_rows("SH", 1, rows, SH_ATTRIBUTES)
+        X = encode_matrix(ds)
+        y = ds.kwh
         root = _grow(X, y, np.arange(len(rows)), SH_ATTRIBUTES, min_instances, 0.0)
         oracle = _brute_force_gain(rows, SH_ATTRIBUTES, min_instances)
         if isinstance(root, Leaf):
@@ -124,7 +124,7 @@ def test_criterion_02_pruning_monotonicity():
     worst = 0.0
     for seed in range(50):
         rows = _random_rows(rng, 150)
-        model = train_rep_tree(Dataset("SH", 1, rows, SH_ATTRIBUTES),
+        model = train_rep_tree(Dataset.from_rows("SH", 1, rows, SH_ATTRIBUTES),
                                TreeParams(min_instances=3, seed=seed))
         trace = model.training_meta["prune_trace"]
         for before, after in zip(trace, trace[1:]):
@@ -258,7 +258,7 @@ def test_criterion_10_training_speed():
             rows.append(feature_vector(start + dt.timedelta(days=d), hour, "hour",
                                        0.4 + 0.3 * (8 <= hour <= 22) + float(rng.normal(0, 0.05))))
     t0 = time.perf_counter()
-    train_model_tree(Dataset("SH", 1, rows, SH_ATTRIBUTES), TreeParams(seed=1))
+    train_model_tree(Dataset.from_rows("SH", 1, rows, SH_ATTRIBUTES), TreeParams(seed=1))
     single = time.perf_counter() - t0
 
     readings = synth_readings(DESK.profile, 500, 4, seed=7)

@@ -216,7 +216,7 @@ def _sh_dataset(days=8, meter_id=1):
         date = START + dt.timedelta(days=d)
         for hour in range(1, 25):
             rows.append(feature_vector(date, hour, "hour", 0.5 + 0.01 * hour))
-    return Dataset("SH", meter_id, rows, ("interval", "day_type", "month", "season"))
+    return Dataset.from_rows("SH", meter_id, rows, ("interval", "day_type", "month", "season"))
 
 
 def test_corpus_counting_single_type():
@@ -263,7 +263,8 @@ def test_corpus_attack_days_shared_across_meters_and_levels():
         date = START + dt.timedelta(days=d)
         for slot in range(1, 49):
             nbh_rows.append(feature_vector(date, slot, "slot", 25.0))
-    nbh = Dataset("NBH", None, nbh_rows, ("interval", "day_period", "day_type", "month", "season"))
+    nbh = Dataset.from_rows("NBH", None, nbh_rows,
+                            ("interval", "day_period", "day_type", "month", "season"))
     corpus = generate_corpus(sh, nbh, {"t3": 0.5}, seed=9)
     attacked = {}
     for v in corpus.variants:

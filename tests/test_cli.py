@@ -206,6 +206,45 @@ def test_detect_missing_columns_is_user_error(trained, tmp_path, capsys, flag):
     assert str(stream) in capsys.readouterr().err
 
 
+SHORT_ROW = {
+    "--corpus": "meter_id,date,interval,base_kwh,attacked_kwh,label,attack_type,seed\n"
+                "1,2009-01-05,3\n",
+    "--dataset": "level,meter_id,date,interval,hour_or_slot,day_period,day_type,month,season,"
+                 "consumption_kwh\nSH,1,2009-01-05,hour,3\n",
+}
+
+
+@pytest.mark.parametrize("flag", sorted(SHORT_ROW))
+def test_detect_short_row_is_user_error(trained, tmp_path, capsys, flag):
+    stream = tmp_path / "short.csv"
+    stream.write_text(SHORT_ROW[flag])
+    assert main(["detect", "--models", str(trained / "models"), flag, str(stream),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"{stream} at line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, value", [("season", "summer"), ("day_period", "day"),
+                                           ("month", "7"), ("hour_or_slot", "25")])
+def test_train_refuses_edited_derived_column(ingested, tmp_path, capsys, column, value):
+    """The dataset columns derive day period, day type, month and season from
+    the date and interval, so a split CSV that disagrees is a user error."""
+    data = tmp_path / "data"
+    shutil.copytree(ingested / "splits", data / "splits")
+    path = data / "splits" / "sh_2_valid.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[5].split(",")
+    assert row[header.index("date")].startswith("2009-0")   # a January..March date
+    assert row[header.index(column)] != value
+    row[header.index(column)] = value
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), "--seed", "13"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 6" in err and column.split("_or_")[0] in err
+
+
 def test_simulate_deterministic_and_report(tmp_path):
     cfg = {"nb_sh": 3, "weeks": 4, "seed": 5, "jobs": 1}
     config_path = tmp_path / "cfg.json"

@@ -240,7 +240,7 @@ def _dataset_from_values(values, interval=1):
     day = dt.date(2009, 1, 1)
     for i, v in enumerate(values):
         rows.append(feature_vector(day + dt.timedelta(days=i), interval, "hour", v))
-    return Dataset("SH", 1, rows, ("interval", "day_type", "month", "season"))
+    return Dataset.from_rows("SH", 1, rows, ("interval", "day_type", "month", "season"))
 
 
 def test_clean_keeps_outlier_within_three_sigma():
@@ -249,13 +249,13 @@ def test_clean_keeps_outlier_within_three_sigma():
     sigma = statistics.pstdev(values)
     assert abs(100.0 - mu) <= 3 * sigma  # oracle: 79.2 <= 118.8
     kept, removed = clean_dataset(_dataset_from_values(values))
-    assert removed == []
+    assert len(removed) == 0
     assert len(kept.rows) == 5
 
 
 def test_clean_constant_group_removes_nothing():
     kept, removed = clean_dataset(_dataset_from_values([2.0, 2.0, 2.0, 2.0]))
-    assert removed == []
+    assert len(removed) == 0
     assert len(kept.rows) == 4
 
 
@@ -265,20 +265,20 @@ def test_clean_removes_far_outlier():
     sigma = statistics.pstdev(values)
     assert 50.0 - mu > 3 * sigma  # oracle: mu ~ 2.58, sigma ~ 8.66
     kept, removed = clean_dataset(_dataset_from_values(values))
-    assert [r.consumption for r in removed] == [50.0]
+    assert [r.consumption for r in removed.rows] == [50.0]
     assert len(kept.rows) == 30
 
 
 def test_clean_small_group_skipped():
     kept, removed = clean_dataset(_dataset_from_values([5.0]))
-    assert removed == [] and len(kept.rows) == 1
+    assert len(removed) == 0 and len(kept.rows) == 1
 
 
 def test_clean_is_idempotent_on_fixture():
     values = [1.0] * 30 + [50.0]
     once, removed1 = clean_dataset(_dataset_from_values(values))
     twice, removed2 = clean_dataset(once)
-    assert removed1 and not removed2
+    assert len(removed1) and not len(removed2)
     assert [r.consumption for r in twice.rows] == [r.consumption for r in once.rows]
 
 
@@ -289,9 +289,9 @@ def test_clean_groups_by_month_and_interval():
     for i in range(20):
         rows.append(feature_vector(day + dt.timedelta(days=i), 1, "hour", 1.0))
         rows.append(feature_vector(day + dt.timedelta(days=i), 2, "hour", 100.0))
-    ds = Dataset("SH", 1, rows, ("interval", "day_type", "month", "season"))
+    ds = Dataset.from_rows("SH", 1, rows, ("interval", "day_type", "month", "season"))
     kept, removed = clean_dataset(ds)
-    assert removed == []  # each group is constant
+    assert len(removed) == 0  # each group is constant
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def _weekly_dataset(weeks, start=dt.date(2009, 1, 5)):
         date = start + dt.timedelta(days=d)
         for hour in range(1, 25):
             rows.append(feature_vector(date, hour, "hour", 1.0))
-    return Dataset("SH", 1, rows, ("interval", "day_type", "month", "season"))
+    return Dataset.from_rows("SH", 1, rows, ("interval", "day_type", "month", "season"))
 
 
 def test_split_eight_weeks_yields_two_validation_weeks():

@@ -12,8 +12,8 @@ from gridwatch.ingest import (NBH_ATTRIBUTES, SEASONS, SH_ATTRIBUTES, Dataset,
                               FeatureVector, feature_vector, season_of_month)
 from gridwatch.trees import (Leaf, LinearModel, Split, TreeModel, TreeParams,
                              _best_split, _grow, _walk, count_leaves, deserialize,
-                             encode_matrix, encode_value, evaluate, predict,
-                             sd_reduction, serialize, target_vector, to_text,
+                             encode_matrix, encode_row, encode_value, evaluate, predict,
+                             sd_reduction, serialize, to_text,
                              train_model_tree, train_rep_tree, tree_depth)
 
 ATTRS = SH_ATTRIBUTES
@@ -30,7 +30,7 @@ def random_rows(rng, n):
 
 
 def dataset(rows, attributes=ATTRS):
-    return Dataset("SH", 1, list(rows), attributes)
+    return Dataset.from_rows("SH", 1, rows, attributes)
 
 
 def constant_leaf_model(value, attributes=ATTRS, pe=0.0, kind="rep_tree"):
@@ -109,7 +109,7 @@ def brute_force_best_gain(rows, attributes, min_instances):
 def realized_root_gain(root, rows, attributes):
     if isinstance(root, Leaf):
         return 0.0
-    X = encode_matrix(rows, attributes)
+    X = encode_matrix(dataset(rows, attributes))
     y = [r.consumption for r in rows]
     v = X[:, root.attr_index]
     if root.kind == "numeric":
@@ -127,8 +127,9 @@ def test_root_split_matches_brute_force_sample():
     min_instances = 5
     for _ in range(20):
         rows = random_rows(rng, int(rng.integers(20, 120)))
-        X = encode_matrix(rows, ATTRS)
-        y = target_vector(rows)
+        ds = dataset(rows)
+        X = encode_matrix(ds)
+        y = ds.kwh
         root = _grow(X, y, np.arange(len(rows)), ATTRS, min_instances, 0.0)
         oracle = brute_force_best_gain(rows, ATTRS, min_instances)
         if isinstance(root, Leaf):
@@ -143,8 +144,9 @@ def test_tie_break_prefers_first_attribute_and_lowest_threshold():
     for i, (hour, day) in enumerate([(1, dt.date(2009, 1, 5)), (1, dt.date(2009, 1, 6)),
                                      (2, dt.date(2009, 1, 10)), (2, dt.date(2009, 1, 11))]):
         rows.append(feature_vector(day, hour, "hour", 0.0 if hour == 1 else 10.0))
-    X = encode_matrix(rows, ATTRS)
-    y = target_vector(rows)
+    ds = dataset(rows)
+    X = encode_matrix(ds)
+    y = ds.kwh
     cand = _best_split(X, y, np.arange(4), ATTRS, 1)
     assert ATTRS[cand.attr_index] == "interval"
     assert cand.threshold == pytest.approx(1.5)
@@ -178,7 +180,7 @@ def test_rep_tree_perfect_binary_attribute():
 
 
 def _route_to_leaf(model, fv):
-    x = encode_matrix([fv], model.attributes)[0]
+    x = encode_row(fv, model.attributes)
     node = model.root
     while isinstance(node, Split):
         v = x[node.attr_index]
@@ -454,8 +456,8 @@ def cache_models():
     for kind, level, attrs in (("hour", "SH", ATTRS), ("slot", "NBH", NBH_ATTRIBUTES)):
         rows = _patterned_rows(kind, 900, seed=len(attrs))
         meter = 1 if level == "SH" else None
-        train = Dataset(level, meter, rows[:700], attrs)
-        valid = Dataset(level, meter, rows[700:], attrs)
+        train = Dataset.from_rows(level, meter, rows[:700], attrs)
+        valid = Dataset.from_rows(level, meter, rows[700:], attrs)
         models[f"rep_{kind}"] = (train_rep_tree(train, TreeParams(seed=3), valid=valid), kind)
         for suffix, smoothing in (("", False), ("_smoothed", True)):
             model = train_model_tree(train, TreeParams(seed=3, smoothing=smoothing), valid=valid)
