@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import Dataset, clock_hour, date_of
+from .ingest import Dataset, clock_hour
 
 log = logging.getLogger(__name__)
 
@@ -101,17 +101,10 @@ class LabeledSeries:
 
 
 def series_from_dataset(ds: Dataset) -> Series:
-    """The dataset's rows in (date, interval) order; ties keep row order."""
-    order = np.lexsort((ds.interval, ds.day))
-    days = ds.day[order]
-    dates = {d: date_of(d) for d in np.unique(days).tolist()}
-    return Series(
-        kind=ds.interval_kind,
-        meter_id=ds.meter_id,
-        dates=tuple(dates[d] for d in days.tolist()),
-        intervals=tuple(ds.interval[order].tolist()),
-        values=ds.kwh[order],
-    )
+    """The dataset's rows in chronological order (``Dataset.chronological``)."""
+    ds = ds.chronological()
+    return Series(kind=ds.interval_kind, meter_id=ds.meter_id, dates=tuple(ds.dates()),
+                  intervals=tuple(ds.interval.tolist()), values=ds.kwh)
 
 
 def _check_chronological(series: Series) -> None:

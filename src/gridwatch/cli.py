@@ -27,17 +27,20 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import attacks as atk
 from . import scenario as scn
-from .detect import NbhDetectorState, ShDetectorState, nbh_step, sh_step
+from .detect import NbhDetectorState, ShDetectorState, replay
 from .errors import GridwatchError, ScenarioError, SequencingError, UserInputError
-from .ingest import (Dataset, FeatureVector, build_nbh_dataset, build_sh_dataset,
-                     clean_dataset, feature_vector, group_by_meter, open_raw, parse_raw,
+from .ingest import (Dataset, build_nbh_dataset, build_sh_dataset, clean_dataset,
+                     clock_hour, day_code_of, group_by_meter, open_raw, parse_raw,
                      read_dataset_csv, split_train_validation, write_dataset_csv,
                      write_labeled_csv, write_removed_csv)
 from .manifest import MANIFEST_NAME, verify_manifest, write_json, write_manifest
 from .synth import synth_columns
-from .trees import deserialize, serialize, to_text, train_model_tree, train_rep_tree
+from .trees import (_predict_dataset, deserialize, serialize, to_text, train_model_tree,
+                    train_rep_tree)
 
 ENV_SEED = "GRIDWATCH_SEED"
 
@@ -95,7 +98,7 @@ def cmd_ingest(args) -> int:
     # one meter at a time: built, written and dropped before the next
     removed_total = 0
     for meter_id, readings in per_meter.items():
-        ds, _report = build_sh_dataset(readings, args.include_day_period)
+        ds, _report = build_sh_dataset(readings)
         removed_total += _write_datasets(ds, out, f"sh_{meter_id}", args.split, seed)
     nbh_source = parsed.readings if args.meter is None else per_meter[args.meter]
     nbh, _report = build_nbh_dataset(nbh_source)
@@ -103,7 +106,6 @@ def cmd_ingest(args) -> int:
 
     write_manifest(out, "ingest", {
         "raw": str(raw_path), "meter": args.meter, "split": args.split,
-        "include_day_period": args.include_day_period,
         "max_bad_lines": args.max_bad_lines,
     }, seed, [str(raw_path)], {"ingest": time.perf_counter() - t0})
     print(f"ingest: {len(parsed.readings)} readings, {len(parsed.issues)} bad line(s), "
@@ -219,22 +221,36 @@ def _write_corpora(out: Path, corpus: atk.Corpus, levels=("SH", "NBH")) -> None:
 # ---------------------------------------------------------------------------
 # detect
 
-def _corpus_streams(path: Path, kind: str) -> list[tuple[tuple, list[FeatureVector]]]:
-    """Corpus CSV rows as (meter_id, attack_type) replay streams of attacked
-    observations, in replay order."""
-    streams: dict[tuple, list[FeatureVector]] = {}
+def _corpus_streams(path: Path, level: str) -> list[tuple[str, Dataset]]:
+    """Corpus CSV rows as (attack_type, dataset of attacked observations)
+    replay streams, one per (meter_id, attack_type), rows in file order.
+
+    SH rows carry a meter id and NBH rows none; a row that disagrees with
+    ``level`` is a user error naming the file and line.
+    """
+    kind = "hour" if level == "sh" else "slot"
+    streams: dict[tuple, list[tuple[int, int, float]]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             for rec in reader:
                 meter_id = int(rec["meter_id"]) if rec["meter_id"] else None
-                streams.setdefault((meter_id, rec["attack_type"]), []).append(feature_vector(
-                    dt.date.fromisoformat(rec["date"]), int(rec["interval"]), kind,
-                    float(rec["attacked_kwh"])))
+                if (meter_id is None) == (level == "sh"):
+                    raise UserInputError(
+                        f"corpus {path} at line {reader.line_num} does not fit --level {level}: "
+                        f"meter_id {rec['meter_id']!r} (SH rows carry one, NBH rows none)")
+                interval = int(rec["interval"])
+                clock_hour(interval, kind)
+                streams.setdefault((meter_id, rec["attack_type"]), []).append(
+                    (day_code_of(dt.date.fromisoformat(rec["date"])), interval,
+                     float(rec["attacked_kwh"])))
         except (KeyError, ValueError, TypeError) as exc:   # TypeError: a short row
             raise UserInputError(f"malformed corpus {path} at line {reader.line_num}: "
                                  f"missing column or bad value {exc}") from exc
-    return sorted(streams.items(), key=lambda kv: (kv[0][0] or 0, kv[0][1]))
+    # columns: int64 day codes and intervals, float64 kWh
+    return [(attack_type, Dataset(level.upper(), meter_id, *map(np.array, zip(*rows)), ()))
+            for (meter_id, attack_type), rows in sorted(
+                streams.items(), key=lambda kv: (kv[0][0] or 0, kv[0][1]))]
 
 
 def cmd_detect(args) -> int:
@@ -248,37 +264,33 @@ def cmd_detect(args) -> int:
         stream_path = Path(args.corpus)
         _missing(stream_path, "corpus file")
         level = args.level
-        streams = _corpus_streams(stream_path, "hour" if level == "sh" else "slot")
+        streams = _corpus_streams(stream_path, level)
     else:
         stream_path = Path(args.dataset)
         _missing(stream_path, "dataset file")
         ds = read_dataset_csv(stream_path)
-        level = "sh" if ds.level == "SH" else "nbh"
-        streams = [((ds.meter_id, "none"), sorted(ds.rows, key=lambda r: (r.date, r.interval)))]
+        level = ds.level.lower()
+        streams = [("none", ds.chronological())]
 
-    step = sh_step if level == "sh" else nbh_step
+    # each row once: the alerting ones as suspects, the rest as benign
     alerts, suspects, benign = [], [], []
-    for (meter_id, attack_type), rows in streams:
-        state = _make_state(models_dir, level, meter_id, args.nbr_incr,
+    for attack_type, ds in streams:
+        state = _make_state(models_dir, level, ds.meter_id, args.nbr_incr,
                             args.n_window, args.counter_mode)
         try:
-            for fv in rows:
-                event = step(state, fv)
-                if event is None:
-                    benign.append(fv)
-                else:
-                    suspects.append(fv)
-                    alerts.append((attack_type, event))
+            fired = replay(state, ds.dates(), ds.interval, ds.kwh,
+                           _predict_dataset(state.model, ds))
         except SequencingError as exc:
             raise UserInputError(f"bad stream in {stream_path}: {exc}") from exc
+        alerts += [(attack_type, event) for _, event in fired]
+        hit = np.isin(np.arange(len(ds)), [i for i, _ in fired])
+        suspects.append(ds.take(hit))
+        benign.append(ds.take(~hit))
 
     log_path = out / "alerts.jsonl"
     _write_alerts(log_path, alerts)
-    # each row once: the alerting ones as suspects, the rest as benign, in the
-    # dataset schema plus a label column
-    meter = streams[0][0][0] if len(streams) == 1 else None
-    write_labeled_csv(level.upper(), meter, suspects, "suspect", out / "suspects.csv")
-    write_labeled_csv(level.upper(), meter, benign, "benign", out / "benign.csv")
+    write_labeled_csv(suspects, "suspect", out / "suspects.csv")
+    write_labeled_csv(benign, "benign", out / "benign.csv")
     write_manifest(out, "detect", {
         "models": str(models_dir), "corpus": args.corpus, "dataset": args.dataset,
         "level": args.level, "nbr_incr": args.nbr_incr, "n_window": args.n_window,
@@ -436,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--meter", type=int, default=None, help="keep only this meter id")
     p.add_argument("--split", action="store_true", help="also write train/validation splits")
-    p.add_argument("--include-day-period", action="store_true",
-                   help="add the day/night attribute to SH datasets")
     p.add_argument("--max-bad-lines", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_ingest)
@@ -491,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "detect" and not (args.corpus or args.dataset):
-        print("error: detect needs --corpus or --dataset", file=sys.stderr)
+    if args.command == "detect" and bool(args.corpus) == bool(args.dataset):
+        print("error: detect needs one of --corpus or --dataset", file=sys.stderr)
         return 2
     try:
         return args.func(args)

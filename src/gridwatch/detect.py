@@ -20,6 +20,9 @@ from __future__ import annotations
 import dataclasses
 import datetime as dt
 from collections import deque
+from typing import Sequence
+
+import numpy as np
 
 from .errors import SequencingError
 from .ingest import FeatureVector
@@ -143,6 +146,21 @@ def _nbh_decide(state: NbhDetectorState, date: dt.date, interval: int, observed:
     if observed > predicted + state.pe:
         return AlertEvent("nacr", None, date, interval, "slot", observed, predicted, state.pe)
     return None
+
+
+def replay(state: _DetectorState, dates: Sequence[dt.date], intervals: Sequence[int],
+           observed: np.ndarray, predicted: np.ndarray) -> list[tuple[int, AlertEvent]]:
+    """Replay a stream whose predictions are known through one detector.
+
+    Row i is judged exactly as ``sh_step`` (for an ``ShDetectorState``) or
+    ``nbh_step`` judges it. Returns (row index, event) of every alert, in
+    row order.
+    """
+    decide_row = _sh_decide if isinstance(state, ShDetectorState) else _nbh_decide
+    rows = zip(dates, np.asarray(intervals).tolist(), np.asarray(observed, dtype=float).tolist(),
+               np.asarray(predicted, dtype=float).tolist())
+    return [(i, event) for i, row in enumerate(rows)
+            if (event := decide_row(state, *row)) is not None]
 
 
 def decide(nacr: bool, nb_alert: int, nb_sh: int) -> bool:

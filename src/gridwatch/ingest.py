@@ -204,9 +204,18 @@ class Dataset:
         return "hour" if self.level == "SH" else "slot"
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        """The rows idx, in that order."""
+        """The rows idx (indices, or a boolean mask), in that order."""
         return dataclasses.replace(self, day=self.day[idx], interval=self.interval[idx],
                                    kwh=self.kwh[idx])
+
+    def chronological(self) -> "Dataset":
+        """The rows in (date, interval) order; ties keep row order."""
+        return self.take(np.lexsort((self.interval, self.day)))
+
+    def dates(self) -> list[dt.date]:
+        """The date of every row."""
+        table = self._day_table()
+        return [table.dates[d] for d in table.inverse.tolist()]
 
     def _day_table(self) -> _DayTable:
         days, inverse = np.unique(self.day, return_inverse=True)
@@ -532,11 +541,6 @@ def build_nbh_dataset(readings: Readings | Iterable[MeterReading]) -> tuple[Data
     return ds, BuildReport(flagged, len(r) - slot_key.size)
 
 
-def _by_date_and_interval(ds: Dataset, idx: np.ndarray) -> np.ndarray:
-    """idx stably sorted by (day, interval)."""
-    return idx[np.lexsort((ds.interval[idx], ds.day[idx]))]
-
-
 def clean_dataset(ds: Dataset) -> tuple[Dataset, Dataset]:
     """Remove consumption outliers beyond 3 sigma of their group mean.
 
@@ -566,8 +570,8 @@ def clean_dataset(ds: Dataset) -> tuple[Dataset, Dataset]:
     if skipped_groups:
         log.warning("clean_dataset: %d (month, interval) group(s) below 2 rows skipped",
                     skipped_groups)
-    return (ds.take(_by_date_and_interval(ds, np.flatnonzero(~removed))),
-            ds.take(_by_date_and_interval(ds, np.flatnonzero(removed))))
+    return (ds.take(np.flatnonzero(~removed)).chronological(),
+            ds.take(np.flatnonzero(removed)).chronological())
 
 
 def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
@@ -599,47 +603,47 @@ def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     return ds.take(np.flatnonzero(~valid)), ds.take(np.flatnonzero(valid))
 
 
-def _write_rows(path: str | Path, ds: Dataset, label: str | None = None) -> None:
-    """Write rows in the dataset schema, plus a trailing label column if given.
+def _write_rows(path: str | Path, parts: Iterable[Dataset], label: str | None = None) -> None:
+    """Write the rows of each dataset in turn in the dataset schema, plus a
+    trailing label column if given.
 
     The header is pinned: the ``interval`` column holds the interval kind
     ("hour" for SH, "slot" for NBH) and ``hour_or_slot`` holds its number.
     Lines are what ``csv.writer`` writes for these fields (no field needs
     quoting), gathered from per-day and per-interval text.
     """
-    kind = ds.interval_kind
-    meter = "" if ds.meter_id is None else ds.meter_id
     header, tail = DATASET_CSV_HEADER, "\r\n"
     if label is not None:
         header, tail = header + ["label"], f",{label}\r\n"
-    table = ds._day_table()
-    head = f"{ds.level},{meter},"
-    day_text = [f"{head}{date.isoformat()},{kind}," for date in table.dates]
-    cal_text = [f",{day_type},{month},{season}," for day_type, month, season in table.attributes]
-    periods = ds._day_periods()
-    lines = [f"{day_text[d]}{i},{DAY_PERIODS[p]}{cal_text[d]}{k!r}{tail}"
-             for d, i, p, k in zip(table.inverse.tolist(), ds.interval.tolist(),
-                                   periods.tolist(), ds.kwh.tolist())]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(lines)
+        for ds in parts:
+            meter = "" if ds.meter_id is None else ds.meter_id
+            table = ds._day_table()
+            day_text = [f"{ds.level},{meter},{date.isoformat()},{ds.interval_kind},"
+                        for date in table.dates]
+            cal_text = [f",{day_type},{month},{season},"
+                        for day_type, month, season in table.attributes]
+            fh.writelines(f"{day_text[d]}{i},{DAY_PERIODS[p]}{cal_text[d]}{k!r}{tail}"
+                          for d, i, p, k in zip(table.inverse.tolist(), ds.interval.tolist(),
+                                                ds._day_periods().tolist(), ds.kwh.tolist()))
 
 
 def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
-    _write_rows(path, ds)
+    _write_rows(path, [ds])
 
 
 def write_removed_csv(removed: Dataset, path: str | Path) -> None:
     """Persist the cleaning report (removed rows) in the dataset schema."""
-    _write_rows(path, removed)
+    _write_rows(path, [removed])
 
 
-def write_labeled_csv(level: str, meter_id: int | None, rows: list[FeatureVector],
-                      label: str, path: str | Path) -> None:
-    """Dataset schema plus a trailing label column (suspect/attack/benign)."""
-    _write_rows(path, Dataset.from_rows(level, meter_id, rows, ()), label)
+def write_labeled_csv(parts: Iterable[Dataset], label: str, path: str | Path) -> None:
+    """The rows of each dataset in turn, in the dataset schema plus a
+    trailing label column (suspect/attack/benign)."""
+    _write_rows(path, parts, label)
 
 
 def _record_line(path: str | Path, index: int) -> int:

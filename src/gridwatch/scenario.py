@@ -31,15 +31,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import attacks as atk
-from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState,
-                     _nbh_decide, _sh_decide)
+from .detect import AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState, replay
 from .errors import ScenarioError
 from .ingest import (Dataset, MeterReading, ParseResult, Readings, build_nbh_dataset,
-                     build_sh_dataset, clean_dataset, feature_vector, group_by_meter,
-                     open_raw, parse_raw, split_train_validation)
+                     build_sh_dataset, clean_dataset, group_by_meter, open_raw, parse_raw,
+                     split_train_validation)
 from .metrics import rates_from_counts, roc_curve
 from .synth import SynthProfile, synth_raw_lines
-from .trees import (TreeModel, TreeParams, count_leaves, predict, serialize,
+from .trees import (TreeModel, TreeParams, _predict_dataset, count_leaves, serialize,
                     train_model_tree, train_rep_tree, tree_depth)
 
 SUMMARY_HEADER = ["level", "attack_type", "rmse", "rmse_a", "ac", "tpr", "fpr", "tnr", "fnr"]
@@ -222,7 +221,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sh_splits, nbh_split = stage("split", _split, sh_clean, nbh_clean, cfg.seed)
     sh_models, nbh_model = stage("train", _train, sh_splits, nbh_split, cfg)
     corpus = stage("attack", _attack, sh_splits, nbh_split, cfg)
-    predictions = stage("predict", _predict_series, corpus, sh_models, nbh_model)
+    predictions = stage("predict", _predict, sh_splits, nbh_split, sh_models, nbh_model)
     detection = stage("detect", _detect, corpus, predictions, sh_models, nbh_model, cfg)
     report, roc_points = stage("score", _score, cfg, parse_counts, removed_counts,
                                sh_models, nbh_model, corpus, predictions, detection)
@@ -297,87 +296,57 @@ def _series_key(series: atk.Series) -> tuple[str, int | None]:
     return series.kind, series.meter_id
 
 
-def _predict_series(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
-                    nbh_model: TreeModel) -> dict[tuple, list[float]]:
-    """The model's prediction for every row of each base series.
+def _predict(sh_splits, nbh_split, sh_models: dict[int, TreeModel],
+             nbh_model: TreeModel) -> dict[tuple, np.ndarray]:
+    """The model's prediction for every row of each validation dataset, in
+    series order (``Dataset.chronological``), keyed like ``_series_key``.
 
     A prediction depends only on the calendar attributes, never on the
     consumption, so every variant of a series (all share ``labeled.base``)
-    is scored against the same list.
+    is judged against the same array.
     """
-    predictions: dict[tuple, list[float]] = {}
-    for variant in corpus.variants:
-        s = variant.labeled.base
-        key = _series_key(s)
-        if key in predictions:
-            continue
-        model = nbh_model if variant.level == "NBH" else sh_models[s.meter_id]
-        predictions[key] = [predict(model, feature_vector(s.dates[i], s.intervals[i], s.kind,
-                                                          float(s.values[i])))
-                            for i in range(len(s))]
-    return predictions
+    valid = [(sh_models[m], sh_splits[m][1]) for m in sorted(sh_splits)]
+    valid.append((nbh_model, nbh_split[1]))
+    return {(ds.interval_kind, ds.meter_id): _predict_dataset(model, ds.chronological())
+            for model, ds in valid}
 
 
-def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
+def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
             sh_models: dict[int, TreeModel], nbh_model: TreeModel,
             cfg: ScenarioConfig) -> dict:
     """Stateful replay of every corpus variant plus per-tick decision fusion.
 
-    Each row is judged against its base series' prediction, exactly as
-    ``sh_step``/``nbh_step`` judge it. Alerts are returned as (attack type
-    of the replayed stream, event) so the log records which variant fired
-    them.
+    Each variant is replayed against its base series' prediction by
+    ``detect.replay``. Alerts are returned as (attack type of the replayed
+    stream, event) so the log records which variant fired them.
     """
-    alerts: list[tuple[str, AlertEvent]] = []
-    sh_alert_keys: dict[str, dict[tuple, set]] = {}   # type -> (date, slot) -> meters
-    nacr_keys: dict[str, set] = {}                    # type -> {(date, slot)}
-    fusion: dict[str, dict] = {}
-
-    by_level_type: dict[tuple[str, str], list[atk.CorpusVariant]] = {}
-    for variant in corpus.variants:
-        by_level_type.setdefault((variant.level, variant.attack_type), []).append(variant)
-
     attack_types = sorted({v.attack_type for v in corpus.variants})
-    for attack_type in attack_types:
-        covered: dict[tuple, set] = {}
-        for variant in by_level_type.get(("SH", attack_type), []):
-            s = variant.labeled.base
-            meter_id = s.meter_id
-            state = ShDetectorState(meter_id, sh_models[meter_id],
-                                    nbr_incr=cfg.nbr_incr, n_window=cfg.n_window,
-                                    mode=cfg.counter_mode)
-            preds = predictions[_series_key(s)]
-            for i in range(len(s)):
-                event = _sh_decide(state, s.dates[i], s.intervals[i],
-                                   float(variant.labeled.attacked[i]), preds[i])
-                if event is not None:
-                    alerts.append((attack_type, event))
-                    hour = event.interval
-                    for slot in (2 * hour - 1, 2 * hour):
-                        covered.setdefault((event.date, slot), set()).add(meter_id)
-        sh_alert_keys[attack_type] = covered
-
-        nacr: set = set()
-        for variant in by_level_type.get(("NBH", attack_type), []):
-            s = variant.labeled.base
+    alerts: list[tuple[str, AlertEvent]] = []
+    sh_alert_keys = {t: {} for t in attack_types}   # type -> (date, slot) -> meters
+    nacr_keys = {t: set() for t in attack_types}    # type -> {(date, slot)}
+    for variant in corpus.variants:
+        s, attack_type = variant.labeled.base, variant.attack_type
+        if variant.level == "SH":
+            state = ShDetectorState(s.meter_id, sh_models[s.meter_id], nbr_incr=cfg.nbr_incr,
+                                    n_window=cfg.n_window, mode=cfg.counter_mode)
+        else:
             state = NbhDetectorState(nbh_model)
-            preds = predictions[_series_key(s)]
-            for i in range(len(s)):
-                event = _nbh_decide(state, s.dates[i], s.intervals[i],
-                                    float(variant.labeled.attacked[i]), preds[i])
-                if event is not None:
-                    alerts.append((attack_type, event))
-                    nacr.add((event.date, event.interval))
-        nacr_keys[attack_type] = nacr
+        for _, event in replay(state, s.dates, s.intervals, variant.labeled.attacked,
+                               predictions[_series_key(s)]):
+            alerts.append((attack_type, event))
+            if event.kind == "nacr":
+                nacr_keys[attack_type].add((event.date, event.interval))
+            else:
+                for slot in (2 * event.interval - 1, 2 * event.interval):
+                    sh_alert_keys[attack_type].setdefault((event.date, slot), set()).add(
+                        event.meter_id)
 
     # decision fusion over the validation timeline, per attack type
-    nbh_variants = by_level_type.get(("NBH", "none"), [])
-    ticks: list[tuple] = []
-    if nbh_variants:
-        s = nbh_variants[0].labeled.base
-        ticks = sorted(zip(s.dates, s.intervals))
-    nb_sh = sum(1 for (level, t), vs in by_level_type.items()
-                if level == "SH" and t == "none" for _ in vs)
+    benign = [v for v in corpus.variants if v.attack_type == "none"]
+    nbh_base = next((v.labeled.base for v in benign if v.level == "NBH"), None)
+    ticks = sorted(zip(nbh_base.dates, nbh_base.intervals)) if nbh_base else []
+    nb_sh = sum(1 for v in benign if v.level == "SH")
+    fusion: dict[str, dict] = {}
     for attack_type in attack_types:
         if attack_type == "none" or not ticks or nb_sh == 0:
             continue
@@ -403,7 +372,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, list[float]],
 
 def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
            sh_models: dict[int, TreeModel], nbh_model: TreeModel,
-           corpus: atk.Corpus, predictions: dict[tuple, list[float]], detection: dict):
+           corpus: atk.Corpus, predictions: dict[tuple, np.ndarray], detection: dict):
     per_level: dict[str, _LevelScores] = {}
     per_meter_rates: dict[str, dict] = {}
 
@@ -419,7 +388,7 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
             s = ls.base
             model = nbh_model if level == "NBH" else sh_models[s.meter_id]
             pe = model.trained_rmse
-            preds = np.array(predictions[_series_key(s)])
+            preds = predictions[_series_key(s)]
             if variant.attack_type == "none":
                 margins = s.values - (preds + pe)
                 benign_m.append(margins)

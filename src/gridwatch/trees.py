@@ -54,6 +54,7 @@ BINARY_CODE = {"night": 0.0, "day": 1.0, "weekday": 0.0, "weekend": 1.0}
 CATEGORICAL_ATTRIBUTES = frozenset({"season"})
 
 _EPS_GAIN = 1e-12
+SMOOTHING_K = 15.0   # M5 smoothing constant: weight of the ancestor model's prediction
 
 
 @dataclasses.dataclass
@@ -63,7 +64,6 @@ class TreeParams:
     # smoothing measurably hurts accuracy on smooth load profiles (ancestor
     # models are global linear fits); off by default, available when wanted
     smoothing: bool = False
-    smoothing_k: float = 15.0
     seed: int = 0
 
     def validate(self) -> None:
@@ -118,7 +118,7 @@ class TreeModel:
     root: Node
     attributes: tuple[str, ...]
     smoothing: bool = False
-    smoothing_k: float = 15.0
+    smoothing_k: float = SMOOTHING_K
     trained_rmse: float = 0.0        # the detector threshold margin (PE)
     trained_mae: float = 0.0
     training_meta: dict = dataclasses.field(default_factory=dict)
@@ -558,7 +558,6 @@ def train_model_tree(train: Dataset, params: TreeParams | None = None,
         root=root,
         attributes=tuple(train.attributes),
         smoothing=params.smoothing,
-        smoothing_k=params.smoothing_k,
         training_meta={
             "rows": len(train),
             "split_criterion": "sd_reduction",

@@ -138,11 +138,58 @@ def test_detect_routes_each_corpus_row_once(ingested, trained, tmp_path, level):
     assert alerts
     assert [(r["date"], int(r["hour_or_slot"])) for r in suspects] == \
         [(a["timestamp"][:10], a["interval"]) for a in alerts]
+    # ... and from the alert's home (none at the neighborhood level)
+    assert [r["meter_id"] for r in suspects] == \
+        ["" if a["meter_id"] is None else str(a["meter_id"]) for a in alerts]
     # suspects and benign rows together are exactly the replayed corpus rows
     assert collections.Counter((r["date"], r["hour_or_slot"], r["consumption_kwh"])
                                for r in suspects + benign) == \
         collections.Counter((r["date"], r["interval"], r["attacked_kwh"])
                             for r in _records(corpus))
+
+
+@pytest.fixture(scope="module")
+def corpora(ingested, tmp_path_factory):
+    out = tmp_path_factory.mktemp("corpora")
+    assert main(["attack", "--data", str(ingested), "--out", str(out), "--seed", "13"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stream, named", [
+    (["--corpus", "corpus_sh.csv", "--level", "nbh"],
+     "corpus_sh.csv at line 2 does not fit --level nbh"),
+    (["--corpus", "corpus_nbh.csv", "--level", "sh"],
+     "corpus_nbh.csv at line 2 does not fit --level sh"),
+    (["--corpus", "corpus_sh.csv", "--dataset", "corpus_sh.csv"], "one of --corpus or --dataset"),
+], ids=["nbh_on_sh_corpus", "sh_on_nbh_corpus", "corpus_and_dataset"])
+def test_detect_refuses_mismatched_stream(corpora, trained, tmp_path, capsys, stream, named):
+    args = [str(corpora / a) if a.endswith(".csv") else a for a in stream]
+    capsys.readouterr()
+    assert main(["detect", "--models", str(trained / "models"), *args,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_cli_chain_reproduces_simulate(corpora, trained, tmp_path):
+    """ingest -> train -> attack -> detect gives simulate's corpora and its
+    home and neighborhood alerts."""
+    detected = collections.Counter()
+    for level in ("sh", "nbh"):
+        out = tmp_path / f"detect_{level}"
+        assert main(["detect", "--models", str(trained / "models"), "--level", level,
+                     "--corpus", str(corpora / f"corpus_{level}.csv"), "--out", str(out)]) == 0
+        detected.update((out / "alerts.jsonl").read_text().splitlines())
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"nb_sh": 3, "weeks": 8, "seed": 13}))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run),
+                 "--benchmark-meters", "0"]) == 0
+    for name in ("corpus_sh.csv", "corpus_nbh.csv"):
+        assert (corpora / name).read_bytes() == (run / name).read_bytes()
+    simulated = collections.Counter(
+        line for line in (run / "alerts.jsonl").read_text().splitlines()
+        if json.loads(line)["kind"] in ("sh_anomaly", "nacr"))
+    assert detected and detected == simulated
 
 
 def test_train_dump_text(ingested, tmp_path):

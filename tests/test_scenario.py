@@ -14,7 +14,7 @@ from gridwatch.ingest import (EPOCH, build_sh_dataset, clean_dataset, feature_ve
 from gridwatch.scenario import ScenarioConfig, benchmark_models, run_scenario, summary_rows
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, SynthProfile, expected_kwh,
                              meter_scale, synth_raw_lines, synth_readings)
-from gridwatch.trees import TreeParams
+from gridwatch.trees import TreeParams, predict
 
 SMALL = ScenarioConfig(nb_sh=3, weeks=4, seed=3, jobs=1)
 
@@ -174,7 +174,7 @@ def detect_inputs():
     sh_splits, nbh_split = scn._split(sh_clean, nbh_clean, cfg.seed)
     sh_models, nbh_model = scn._train(sh_splits, nbh_split, cfg)
     corpus = scn._attack(sh_splits, nbh_split, cfg)
-    return cfg, corpus, sh_models, nbh_model
+    return cfg, corpus, sh_models, nbh_model, (sh_splits, nbh_split)
 
 
 def _replay_oracle(cfg, corpus, sh_models, nbh_model):
@@ -222,11 +222,27 @@ def _replay_oracle(cfg, corpus, sh_models, nbh_model):
     return alerts, fusion
 
 
+def test_predict_stage_matches_per_row_predict(detect_inputs):
+    """The predict stage equals the per-row public predict on every row of
+    every base series, in series order. The reference runs on copies of the
+    models with empty memos."""
+    cfg, corpus, sh_models, nbh_model, splits = detect_inputs
+    predictions = scn._predict(*splits, sh_models, nbh_model)
+    bases = {(v.level, v.labeled.base.meter_id): v.labeled.base for v in corpus.variants}
+    assert len(bases) == len(sh_models) + 1
+    for (level, meter_id), s in bases.items():
+        model = dataclasses.replace(nbh_model if level == "NBH" else sh_models[meter_id])
+        want = [predict(model, feature_vector(s.dates[i], s.intervals[i], s.kind,
+                                              float(s.values[i])))
+                for i in range(len(s))]
+        assert predictions[(s.kind, meter_id)].tolist() == want
+
+
 @pytest.mark.parametrize("mode", ["windowed", "lifetime"])
 def test_detect_matches_public_step_replay(detect_inputs, mode):
-    cfg, corpus, sh_models, nbh_model = detect_inputs
+    cfg, corpus, sh_models, nbh_model, splits = detect_inputs
     cfg = dataclasses.replace(cfg, counter_mode=mode)
-    predictions = scn._predict_series(corpus, sh_models, nbh_model)
+    predictions = scn._predict(*splits, sh_models, nbh_model)
     detection = scn._detect(corpus, predictions, sh_models, nbh_model, cfg)
     alerts, fusion = _replay_oracle(cfg, corpus, sh_models, nbh_model)
     assert {e.kind for _, e in alerts} == {"sh_anomaly", "nacr", "attack_confirmed"}
