@@ -8,12 +8,21 @@ bit-identical to the base):
 * t2  bill-reduction: a fresh window per day (start in [0, 23 - min_off],
       integer duration >= min_off hours) with factor ~ U(0.8, 4)
 * t3  sharp increase: t1 windows with factor ~ U(4, 8)
-* t4  load fluctuation: alternating intervals attacked with factor ~ U(2, 4)
+* t4  load fluctuation: alternating intervals attacked with factor ~ U(2, 4),
+      counted by position within the day
 
-All draws come from counter-style streams keyed by (seed, meter, day,
-attack type), so corpora are reproducible and independent of generation
-order, and factors never depend on the consumption values (scaling the
-base scales the attacked series by exactly the same constant).
+A ``Series`` is a read-only view over one chronological ``Dataset``, and an
+attack works on its columns: clock hours come from the interval column,
+the attacked rows are one boolean mask, and the only loop runs over days.
+Each day draws from a counter-style stream keyed by (seed, meter, day,
+attack type): t2 first draws its window, then the day's k attacked rows
+draw k factors in row order. So corpora are reproducible and independent
+of generation order, and factors never depend on the consumption values
+(scaling the base scales the attacked series by exactly the same constant).
+
+``generate_corpus`` chooses the attacked days once per attack type over
+the union of its series' days, so every meter and the neighborhood attack
+the same calendar days even when a series lacks some of them.
 
 Labels mark where a factor was applied, never re-derived from values.
 """
@@ -22,13 +31,14 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import functools
 import logging
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import Dataset, clock_hour
+from .ingest import Dataset, clock_hour, date_of, day_code_of
 
 log = logging.getLogger(__name__)
 
@@ -76,18 +86,38 @@ def default_spec(attack_type: str, seed: int = 0) -> AttackSpec:
     return AttackSpec(attack_type, low, high, seed=seed)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True, eq=False)
 class Series:
-    """A chronological consumption series at one monitoring level."""
+    """A read-only view over one chronological dataset at one monitoring level.
 
-    kind: str                       # "hour" | "slot"
-    meter_id: int | None
-    dates: tuple[dt.date, ...]
-    intervals: tuple[int, ...]
-    values: np.ndarray
+    ``dates`` and ``intervals`` are per-row lists of ``dt.date`` and ``int``
+    for per-observation callers, built once on first read.
+    """
+
+    data: Dataset
+
+    @property
+    def kind(self) -> str:              # "hour" | "slot"
+        return self.data.interval_kind
+
+    @property
+    def meter_id(self) -> int | None:
+        return self.data.meter_id
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.data.kwh
+
+    @functools.cached_property
+    def dates(self) -> list[dt.date]:
+        return self.data.dates()
+
+    @functools.cached_property
+    def intervals(self) -> list[int]:
+        return self.data.interval.tolist()
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.data)
 
 
 @dataclasses.dataclass
@@ -97,20 +127,11 @@ class LabeledSeries:
     base: Series
     attacked: np.ndarray
     labels: np.ndarray              # bool, True = malicious
-    spec: AttackSpec | None
 
 
 def series_from_dataset(ds: Dataset) -> Series:
     """The dataset's rows in chronological order (``Dataset.chronological``)."""
-    ds = ds.chronological()
-    return Series(kind=ds.interval_kind, meter_id=ds.meter_id, dates=tuple(ds.dates()),
-                  intervals=tuple(ds.interval.tolist()), values=ds.kwh)
-
-
-def _check_chronological(series: Series) -> None:
-    keys = list(zip(series.dates, series.intervals))
-    if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
-        raise ContractViolation("series is not strictly chronological")
+    return Series(ds.chronological())
 
 
 def _day_rng(spec: AttackSpec, meter_id: int | None, date: dt.date) -> np.random.Generator:
@@ -119,53 +140,40 @@ def _day_rng(spec: AttackSpec, meter_id: int | None, date: dt.date) -> np.random
     return np.random.default_rng(seq)
 
 
-def _day_groups(series: Series) -> list[tuple[dt.date, np.ndarray]]:
-    groups: list[tuple[dt.date, list[int]]] = []
-    for i, date in enumerate(series.dates):
-        if groups and groups[-1][0] == date:
-            groups[-1][1].append(i)
-        else:
-            groups.append((date, [i]))
-    return [(date, np.array(ix)) for date, ix in groups]
-
-
-def _in_windows(ch: int, windows: Sequence[tuple[int, int]]) -> bool:
-    return any(start <= ch <= end for start, end in windows)
-
-
 def apply_attack(series: Series, spec: AttackSpec) -> LabeledSeries:
     """Apply one attack type; dispatches on ``spec.attack_type``."""
-    if len(series) == 0:
+    ds = series.data
+    if len(ds) == 0:
         log.warning("apply_attack: empty series, nothing to do")
-        return LabeledSeries(series, series.values.copy(), np.zeros(0, dtype=bool), spec)
-    _check_chronological(series)
-    attacked = series.values.copy()
-    labels = np.zeros(len(series), dtype=bool)
+        return LabeledSeries(series, ds.kwh.copy(), np.zeros(0, dtype=bool))
+    step_day, step_interval = np.diff(ds.day), np.diff(ds.interval)
+    if not ((step_day > 0) | ((step_day == 0) & (step_interval > 0))).all():
+        raise ContractViolation("series is not strictly chronological")
+    intervals, inverse = np.unique(ds.interval, return_inverse=True)
+    hour = np.array([clock_hour(i, series.kind) for i in intervals.tolist()])[inverse]
+    starts = np.flatnonzero(np.diff(ds.day, prepend=ds.day[0] - 1))
+    ends = np.append(starts[1:], len(ds))
 
-    for date, ix in _day_groups(series):
-        rng = _day_rng(spec, series.meter_id, date)
-        if spec.attack_type in ("t1", "t3"):
-            for i in ix:
-                if _in_windows(clock_hour(series.intervals[i], series.kind), spec.peak_windows):
-                    factor = rng.uniform(spec.factor_low, spec.factor_high)
-                    attacked[i] = series.values[i] * factor
-                    labels[i] = True
-        elif spec.attack_type == "t2":
+    if spec.attack_type == "t4":
+        position = np.arange(len(ds)) - np.repeat(starts, ends - starts)   # within the day
+        labels = (position // spec.period) % 2 == 1
+    else:   # t1/t3 peak windows; t2 overwrites each day with its drawn window
+        labels = np.zeros(len(ds), dtype=bool)
+        for start, end in spec.peak_windows:
+            labels |= (start <= hour) & (hour <= end)
+
+    factors = []
+    for day, lo, hi in zip(ds.day[starts].tolist(), starts.tolist(), ends.tolist()):
+        rng = _day_rng(spec, series.meter_id, date_of(day))
+        if spec.attack_type == "t2":
             start = int(rng.integers(0, 24 - spec.min_off_time))
-            duration = int(rng.integers(spec.min_off_time, 24))
-            end = min(start + duration, 23)
-            for i in ix:
-                if start <= clock_hour(series.intervals[i], series.kind) <= end:
-                    factor = rng.uniform(spec.factor_low, spec.factor_high)
-                    attacked[i] = series.values[i] * factor
-                    labels[i] = True
-        elif spec.attack_type == "t4":
-            for k, i in enumerate(ix):
-                if (k // spec.period) % 2 == 1:
-                    factor = rng.uniform(spec.factor_low, spec.factor_high)
-                    attacked[i] = series.values[i] * factor
-                    labels[i] = True
-    return LabeledSeries(series, attacked, labels, spec)
+            end = min(start + int(rng.integers(spec.min_off_time, 24)), 23)
+            labels[lo:hi] = (start <= hour[lo:hi]) & (hour[lo:hi] <= end)
+        factors.append(rng.uniform(spec.factor_low, spec.factor_high,
+                                   size=np.count_nonzero(labels[lo:hi])))
+    attacked = ds.kwh.copy()
+    attacked[labels] *= np.concatenate(factors)
+    return LabeledSeries(series, attacked, labels)
 
 
 @dataclasses.dataclass
@@ -185,10 +193,11 @@ class Corpus:
 
 def select_attack_dates(dates: Sequence[dt.date], proportion: float, seed: int,
                         attack_type: str) -> set[dt.date]:
-    """Seeded choice of which days receive a given attack type.
+    """Seeded choice of which of the distinct ``dates`` receive an attack type.
 
-    Keyed only by (seed, attack type) so every meter and the neighborhood
-    series attack the same days, which keeps decision fusion aligned.
+    Keyed only by (seed, attack type); ``generate_corpus`` chooses once over
+    the days of all its series, so every meter and the neighborhood series
+    attack the same days, which keeps decision fusion aligned.
     """
     distinct = sorted(set(dates))
     k = int(round(proportion * len(distinct)))
@@ -197,17 +206,6 @@ def select_attack_dates(dates: Sequence[dt.date], proportion: float, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7E, _TYPE_CODE[attack_type])))
     chosen = rng.choice(len(distinct), size=min(k, len(distinct)), replace=False)
     return {distinct[i] for i in sorted(chosen)}
-
-
-def _restrict_labels(labeled: LabeledSeries, keep_dates: set[dt.date]) -> LabeledSeries:
-    """Blank the attack outside the selected dates (attacked = base there)."""
-    attacked = labeled.attacked.copy()
-    labels = labeled.labels.copy()
-    for i, date in enumerate(labeled.base.dates):
-        if date not in keep_dates:
-            attacked[i] = labeled.base.values[i]
-            labels[i] = False
-    return LabeledSeries(labeled.base, attacked, labels, labeled.spec)
 
 
 def generate_corpus(
@@ -219,55 +217,54 @@ def generate_corpus(
 ) -> Corpus:
     """Emit benign plus per-type attacked variants for SH and NBH series.
 
-    ``mix`` maps attack type to the proportion of days attacked; the same
-    multiplicative factors apply unchanged to neighborhood totals (being
-    scale-free they adjust automatically to the neighborhood consumption
-    scale). The corpus is a pure function of its inputs and ``seed``.
+    ``mix`` maps attack type to the proportion of days attacked, chosen
+    once over the union of all series' days; the same multiplicative
+    factors apply unchanged to neighborhood totals (being scale-free they
+    adjust automatically to the neighborhood consumption scale). The corpus
+    is a pure function of its inputs and ``seed``.
     """
     if not sh_datasets and nbh_dataset is None:
         raise ValueError("generate_corpus: no datasets given")
     specs = specs or {}
-    variants: list[CorpusVariant] = []
-
-    def emit(level: str, ds: Dataset) -> None:
-        series = series_from_dataset(ds)
-        benign = LabeledSeries(series, series.values.copy(),
-                               np.zeros(len(series), dtype=bool), None)
-        variants.append(CorpusVariant(level, "none", benign))
-        for attack_type in ATTACK_TYPES:
-            proportion = mix.get(attack_type, 0.0)
-            if proportion <= 0:
-                continue
-            spec = specs.get(attack_type) or default_spec(attack_type, seed=seed)
-            spec = dataclasses.replace(spec, seed=seed)
-            labeled = apply_attack(series, spec)
-            keep = select_attack_dates(series.dates, proportion, seed, attack_type)
-            variants.append(CorpusVariant(level, attack_type, _restrict_labels(labeled, keep)))
-
-    for meter_id in sorted(sh_datasets):
-        if len(sh_datasets[meter_id]):
-            emit("SH", sh_datasets[meter_id])
+    series = [("SH", series_from_dataset(sh_datasets[m])) for m in sorted(sh_datasets)
+              if len(sh_datasets[m])]
     if nbh_dataset is not None and len(nbh_dataset):
-        emit("NBH", nbh_dataset)
+        series.append(("NBH", series_from_dataset(nbh_dataset)))
+    days = np.unique(np.concatenate([s.data.day for _, s in series] + [np.empty(0, np.int64)]))
+    dates = [date_of(d) for d in days.tolist()]
+    attack_days = {t: [day_code_of(d) for d in select_attack_dates(dates, mix[t], seed, t)]
+                   for t in ATTACK_TYPES if mix.get(t, 0.0) > 0}
+
+    variants: list[CorpusVariant] = []
+    for level, s in series:
+        variants.append(CorpusVariant(level, "none", LabeledSeries(
+            s, s.values.copy(), np.zeros(len(s), dtype=bool))))
+        for attack_type, chosen in attack_days.items():
+            spec = specs.get(attack_type) or default_spec(attack_type)
+            labeled = apply_attack(s, dataclasses.replace(spec, seed=seed))
+            keep = np.isin(s.data.day, chosen)
+            variants.append(CorpusVariant(level, attack_type, LabeledSeries(
+                s, np.where(keep, labeled.attacked, s.values), labeled.labels & keep)))
     return Corpus(variants, seed)
 
 
-def corpus_csv_rows(corpus: Corpus) -> Iterable[list]:
-    """Rows for the corpus CSV: meter, date, interval, base, attacked, label."""
-    yield ["meter_id", "date", "interval", "base_kwh", "attacked_kwh",
-           "label", "attack_type", "seed"]
+def corpus_csv_rows(corpus: Corpus) -> Iterator[str]:
+    """The corpus CSV text (meter, date, interval, base, attacked, label,
+    attack type, seed), one variant per string after the header line.
+
+    The text is what ``csv.writer`` writes for these fields (no field needs
+    quoting), gathered from per-day text and a per-variant tail.
+    """
+    yield "meter_id,date,interval,base_kwh,attacked_kwh,label,attack_type,seed\r\n"
     for variant in corpus.variants:
         ls = variant.labeled
-        s = ls.base
-        for i in range(len(s)):
-            yield [
-                "" if s.meter_id is None else s.meter_id,
-                s.dates[i].isoformat(),
-                s.intervals[i],
-                repr(float(s.values[i])),
-                repr(float(ls.attacked[i])),
-                "malicious" if ls.labels[i] else "benign",
-                variant.attack_type,
-                corpus.seed,
-            ]
-
+        ds = ls.base.data
+        meter = "" if ds.meter_id is None else ds.meter_id
+        table = ds._day_table()
+        day_text = [f"{meter},{date.isoformat()}," for date in table.dates]
+        tail = [f",{label},{variant.attack_type},{corpus.seed}\r\n"
+                for label in ("benign", "malicious")]
+        yield "".join(f"{day_text[d]}{i},{b!r},{a!r}{tail[m]}"
+                      for d, i, b, a, m in zip(table.inverse.tolist(), ds.interval.tolist(),
+                                               ds.kwh.tolist(), ls.attacked.tolist(),
+                                               ls.labels.tolist()))

@@ -212,10 +212,11 @@ def cmd_attack(args) -> int:
 
 def _write_corpora(out: Path, corpus: atk.Corpus, levels=("SH", "NBH")) -> None:
     """One corpus CSV per monitoring level: corpus_sh.csv, corpus_nbh.csv."""
+    out.mkdir(parents=True, exist_ok=True)
     for level in levels:
         variants = [v for v in corpus.variants if v.level == level]
-        _write_csv(out / f"corpus_{level.lower()}.csv",
-                   atk.corpus_csv_rows(atk.Corpus(variants, corpus.seed)))
+        with open(out / f"corpus_{level.lower()}.csv", "w", newline="") as fh:
+            fh.writelines(atk.corpus_csv_rows(atk.Corpus(variants, corpus.seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +273,16 @@ def cmd_detect(args) -> int:
         level = ds.level.lower()
         streams = [("none", ds.chronological())]
 
-    # each row once: the alerting ones as suspects, the rest as benign
+    # each row once: the alerting ones as suspects, the rest as benign;
+    # each model is loaded once and every stream gets a fresh detector state
     alerts, suspects, benign = [], [], []
+    models = {}
     for attack_type, ds in streams:
-        state = _make_state(models_dir, level, ds.meter_id, args.nbr_incr,
-                            args.n_window, args.counter_mode)
+        if ds.meter_id not in models:
+            models[ds.meter_id] = _load_model(models_dir, level, ds.meter_id)
+        state = (ShDetectorState(ds.meter_id, models[ds.meter_id], nbr_incr=args.nbr_incr,
+                                 n_window=args.n_window, mode=args.counter_mode)
+                 if level == "sh" else NbhDetectorState(models[ds.meter_id]))
         try:
             fired = replay(state, ds.dates(), ds.interval, ds.kwh,
                            _predict_dataset(state.model, ds))
@@ -293,7 +299,7 @@ def cmd_detect(args) -> int:
     write_labeled_csv(benign, "benign", out / "benign.csv")
     write_manifest(out, "detect", {
         "models": str(models_dir), "corpus": args.corpus, "dataset": args.dataset,
-        "level": args.level, "nbr_incr": args.nbr_incr, "n_window": args.n_window,
+        "level": level, "nbr_incr": args.nbr_incr, "n_window": args.n_window,
         "counter_mode": args.counter_mode,
     }, _resolve_seed(args), [str(models_dir)], {"detect": time.perf_counter() - t0})
     print(f"detect: {len(alerts)} alert(s) -> {log_path}")
@@ -312,16 +318,14 @@ def _write_alerts(path: Path, alerts) -> None:
             fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _make_state(models_dir: Path, level: str, meter_id, nbr_incr: int, n_window: int,
-                mode: str):
+def _load_model(models_dir: Path, level: str, meter_id):
     if level == "sh":
         path = models_dir / f"sh_{meter_id}.amim"
         _missing(path, f"model for meter {meter_id}")
-        return ShDetectorState(meter_id, deserialize(path.read_bytes()),
-                               nbr_incr=nbr_incr, n_window=n_window, mode=mode)
-    path = models_dir / "nbh.amim"
-    _missing(path, "neighborhood model")
-    return NbhDetectorState(deserialize(path.read_bytes()))
+    else:
+        path = models_dir / "nbh.amim"
+        _missing(path, "neighborhood model")
+    return deserialize(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     sh_splits, nbh_split = stage("split", _split, sh_clean, nbh_clean, cfg.seed)
     sh_models, nbh_model = stage("train", _train, sh_splits, nbh_split, cfg)
     corpus = stage("attack", _attack, sh_splits, nbh_split, cfg)
-    predictions = stage("predict", _predict, sh_splits, nbh_split, sh_models, nbh_model)
+    predictions = stage("predict", _predict, corpus, sh_models, nbh_model)
     detection = stage("detect", _detect, corpus, predictions, sh_models, nbh_model, cfg)
     report, roc_points = stage("score", _score, cfg, parse_counts, removed_counts,
                                sh_models, nbh_model, corpus, predictions, detection)
@@ -292,23 +292,19 @@ def _attack(sh_splits, nbh_split, cfg: ScenarioConfig) -> atk.Corpus:
                                specs=cfg.attack_specs())
 
 
-def _series_key(series: atk.Series) -> tuple[str, int | None]:
-    return series.kind, series.meter_id
-
-
-def _predict(sh_splits, nbh_split, sh_models: dict[int, TreeModel],
+def _predict(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
              nbh_model: TreeModel) -> dict[tuple, np.ndarray]:
-    """The model's prediction for every row of each validation dataset, in
-    series order (``Dataset.chronological``), keyed like ``_series_key``.
+    """The model's prediction for every row of each corpus base series, in
+    series order, keyed by (level, meter id).
 
     A prediction depends only on the calendar attributes, never on the
     consumption, so every variant of a series (all share ``labeled.base``)
     is judged against the same array.
     """
-    valid = [(sh_models[m], sh_splits[m][1]) for m in sorted(sh_splits)]
-    valid.append((nbh_model, nbh_split[1]))
-    return {(ds.interval_kind, ds.meter_id): _predict_dataset(model, ds.chronological())
-            for model, ds in valid}
+    return {(v.level, v.labeled.base.meter_id): _predict_dataset(
+                nbh_model if v.level == "NBH" else sh_models[v.labeled.base.meter_id],
+                v.labeled.base.data)
+            for v in corpus.variants if v.attack_type == "none"}
 
 
 def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
@@ -332,7 +328,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
         else:
             state = NbhDetectorState(nbh_model)
         for _, event in replay(state, s.dates, s.intervals, variant.labeled.attacked,
-                               predictions[_series_key(s)]):
+                               predictions[(variant.level, s.meter_id)]):
             alerts.append((attack_type, event))
             if event.kind == "nacr":
                 nacr_keys[attack_type].add((event.date, event.interval))
@@ -344,7 +340,7 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
     # decision fusion over the validation timeline, per attack type
     benign = [v for v in corpus.variants if v.attack_type == "none"]
     nbh_base = next((v.labeled.base for v in benign if v.level == "NBH"), None)
-    ticks = sorted(zip(nbh_base.dates, nbh_base.intervals)) if nbh_base else []
+    ticks = list(zip(nbh_base.dates, nbh_base.intervals)) if nbh_base else []
     nb_sh = sum(1 for v in benign if v.level == "SH")
     fusion: dict[str, dict] = {}
     for attack_type in attack_types:
@@ -388,7 +384,7 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
             s = ls.base
             model = nbh_model if level == "NBH" else sh_models[s.meter_id]
             pe = model.trained_rmse
-            preds = predictions[_series_key(s)]
+            preds = predictions[(level, s.meter_id)]
             if variant.attack_type == "none":
                 margins = s.values - (preds + pe)
                 benign_m.append(margins)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from gridwatch import cli
 from gridwatch.cli import _write_alerts, main
 from gridwatch.detect import AlertEvent
 from gridwatch.manifest import read_manifest, verify_manifest, write_json, write_manifest
@@ -190,6 +191,24 @@ def test_cli_chain_reproduces_simulate(corpora, trained, tmp_path):
         line for line in (run / "alerts.jsonl").read_text().splitlines()
         if json.loads(line)["kind"] in ("sh_anomaly", "nacr"))
     assert detected and detected == simulated
+
+
+def test_detect_manifest_records_replayed_level(ingested, trained, tmp_path):
+    out = tmp_path / "o"
+    assert main(["detect", "--models", str(trained / "models"),
+                 "--dataset", str(ingested / "datasets" / "nbh.csv"), "--out", str(out)]) == 0
+    assert read_manifest(out)["config"]["level"] == "nbh"
+
+
+@pytest.mark.parametrize("level, loads", [("sh", 3), ("nbh", 1)])
+def test_detect_loads_each_model_once(corpora, trained, tmp_path, monkeypatch, level, loads):
+    loaded = []
+    real = cli.deserialize
+    monkeypatch.setattr(cli, "deserialize", lambda data: loaded.append(data) or real(data))
+    assert main(["detect", "--models", str(trained / "models"), "--level", level,
+                 "--corpus", str(corpora / f"corpus_{level}.csv"),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert len(loaded) == loads
 
 
 def test_train_dump_text(ingested, tmp_path):

@@ -227,7 +227,7 @@ def test_predict_stage_matches_per_row_predict(detect_inputs):
     every base series, in series order. The reference runs on copies of the
     models with empty memos."""
     cfg, corpus, sh_models, nbh_model, splits = detect_inputs
-    predictions = scn._predict(*splits, sh_models, nbh_model)
+    predictions = scn._predict(corpus, sh_models, nbh_model)
     bases = {(v.level, v.labeled.base.meter_id): v.labeled.base for v in corpus.variants}
     assert len(bases) == len(sh_models) + 1
     for (level, meter_id), s in bases.items():
@@ -235,14 +235,14 @@ def test_predict_stage_matches_per_row_predict(detect_inputs):
         want = [predict(model, feature_vector(s.dates[i], s.intervals[i], s.kind,
                                               float(s.values[i])))
                 for i in range(len(s))]
-        assert predictions[(s.kind, meter_id)].tolist() == want
+        assert predictions[(level, meter_id)].tolist() == want
 
 
 @pytest.mark.parametrize("mode", ["windowed", "lifetime"])
 def test_detect_matches_public_step_replay(detect_inputs, mode):
     cfg, corpus, sh_models, nbh_model, splits = detect_inputs
     cfg = dataclasses.replace(cfg, counter_mode=mode)
-    predictions = scn._predict(*splits, sh_models, nbh_model)
+    predictions = scn._predict(corpus, sh_models, nbh_model)
     detection = scn._detect(corpus, predictions, sh_models, nbh_model, cfg)
     alerts, fusion = _replay_oracle(cfg, corpus, sh_models, nbh_model)
     assert {e.kind for _, e in alerts} == {"sh_anomaly", "nacr", "attack_confirmed"}
