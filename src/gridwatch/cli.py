@@ -35,10 +35,9 @@ from .detect import NbhDetectorState, ShDetectorState, replay
 from .errors import GridwatchError, ScenarioError, SequencingError, UserInputError
 from .ingest import (Dataset, build_nbh_dataset, build_sh_dataset, clean_dataset,
                      clock_hour, day_code_of, group_by_meter, open_raw, parse_raw,
-                     read_dataset_csv, split_train_validation, write_dataset_csv,
-                     write_labeled_csv, write_removed_csv)
+                     read_dataset_csv, write_dataset_csv, write_labeled_csv,
+                     write_removed_csv)
 from .manifest import MANIFEST_NAME, verify_manifest, write_json, write_manifest
-from .synth import synth_columns
 from .trees import (_predict_dataset, deserialize, serialize, to_text, train_model_tree,
                     train_rep_tree)
 
@@ -117,25 +116,22 @@ def _write_datasets(ds: Dataset, out: Path, stem: str, split: bool, seed: int) -
     """Clean a dataset, then write it, its removed rows and optionally its
     train/validation split; returns the number of rows removed."""
     ds, removed = clean_dataset(ds)
-    write_dataset_csv(ds, out / "datasets" / f"{stem}.csv")
+    split_paths = (out / "splits" / f"{stem}_train.csv",
+                   out / "splits" / f"{stem}_valid.csv") if split else ()
+    write_dataset_csv(ds, out / "datasets" / f"{stem}.csv", split_paths, seed)
     write_removed_csv(removed, out / "datasets" / f"removed_{stem}.csv")
-    if split:
-        train, valid = split_train_validation(ds, seed)
-        write_dataset_csv(train, out / "splits" / f"{stem}_train.csv")
-        write_dataset_csv(valid, out / "splits" / f"{stem}_valid.csv")
     return len(removed)
 
 
 # ---------------------------------------------------------------------------
 # train
 
-def _load_split(splits_dir: Path, stem: str, include_day_period: bool) -> tuple[Dataset, Dataset]:
+def _load_split(splits_dir: Path, stem: str) -> tuple[Dataset, Dataset]:
     train_path = splits_dir / f"{stem}_train.csv"
     valid_path = splits_dir / f"{stem}_valid.csv"
     _missing(train_path, "training dataset")
     _missing(valid_path, "validation dataset")
-    return (read_dataset_csv(train_path, include_day_period),
-            read_dataset_csv(valid_path, include_day_period))
+    return read_dataset_csv(train_path), read_dataset_csv(valid_path)
 
 
 def cmd_train(args) -> int:
@@ -163,10 +159,10 @@ def cmd_train(args) -> int:
         if not stems:
             raise UserInputError(f"missing SH split datasets under {splits_dir}")
         for stem in stems:
-            train, valid = _load_split(splits_dir, stem, args.include_day_period)
+            train, valid = _load_split(splits_dir, stem)
             save(stem, train.meter_id, train_model_tree(train, params, valid=valid))
     if args.level in ("nbh", "both"):
-        train, valid = _load_split(splits_dir, "nbh", args.include_day_period)
+        train, valid = _load_split(splits_dir, "nbh")
         save("nbh", "NBH", train_rep_tree(train, params, valid=valid))
 
     _write_table(out / "training_report.csv", scn.TRAINING_REPORT_HEADER, report_rows)
@@ -332,57 +328,40 @@ def _load_model(models_dir: Path, level: str, meter_id):
 # simulate
 
 def cmd_simulate(args) -> int:
+    source = args.config or "<defaults>"
     if args.config:
-        config_path = Path(args.config)
-        _missing(config_path, "scenario config")
-        with open(config_path) as fh:
-            try:
-                cfg = scn.ScenarioConfig.from_json_obj(json.load(fh))
-            except (TypeError, ValueError, KeyError) as exc:
-                raise UserInputError(f"bad scenario config {config_path}: {exc}") from exc
-    else:
-        cfg = scn.ScenarioConfig()
-    seed = _resolve_seed(args, cfg.seed)
-    cfg = dataclasses.replace(cfg, seed=seed)
-    if args.jobs is not None:
-        cfg = dataclasses.replace(cfg, jobs=args.jobs)
+        _missing(Path(args.config), "scenario config")
+    try:
+        cfg = scn.ScenarioConfig.from_json_obj(
+            json.loads(Path(args.config).read_text()) if args.config else {})
+        cfg = dataclasses.replace(cfg, seed=_resolve_seed(args, cfg.seed),
+                                  jobs=cfg.jobs if args.jobs is None else args.jobs)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise UserInputError(f"bad scenario config {source}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = scn.run_scenario(cfg)
+    result = scn.run_scenario(cfg, args.benchmark_meters)
 
     write_json(out / "report.json", result.report)
     _write_csv(out / "detection_summary.csv", scn.summary_rows(result.report))
-    for (level, attack_type), points in sorted(result.roc.items()):
+    for (level, attack_type), (fpr, tpr) in sorted(result.roc.items()):
         # streamed: a pooled curve has one point per distinct score
-        rows = itertools.chain([["fpr", "tpr"]], ([repr(x), repr(y)] for x, y in points))
-        _write_csv(out / f"roc_{level.lower()}_{attack_type}.csv", rows)
+        rows = zip(map(repr, fpr.tolist()), map(repr, tpr.tolist()))
+        _write_csv(out / f"roc_{level.lower()}_{attack_type}.csv",
+                   itertools.chain([["fpr", "tpr"]], rows))
     _write_alerts(out / "alerts.jsonl", result.alerts)
     _write_corpora(out, result.corpus)
 
     _write_table(out / "training_report.csv", scn.TRAINING_REPORT_HEADER, result.training_rows)
+    _write_table(out / "model_benchmark.csv", scn.BENCHMARK_HEADER, result.benchmark_rows)
 
-    t0 = time.perf_counter()
-    bench = _run_benchmark(cfg, args.benchmark_meters)
-    _write_table(out / "model_benchmark.csv", scn.BENCHMARK_HEADER, bench)
-    result.timings["benchmark"] = time.perf_counter() - t0
-
-    write_manifest(out, "simulate", cfg.to_json_obj(), cfg.seed,
-                   [args.config or "<defaults>"], result.timings)
+    write_manifest(out, "simulate", cfg.to_json_obj(), cfg.seed, [source], result.timings)
     sh_all = result.report["levels"]["SH"]["pooled"].get("all") or \
         next(iter(result.report["levels"]["SH"]["pooled"].values()), {})
     print(f"simulate: seed {cfg.seed}, {cfg.nb_sh} meter(s), {cfg.weeks} week(s); "
           f"SH tpr={sh_all.get('tpr')} fpr={sh_all.get('fpr')} -> {out}")
     return 0
-
-
-def _run_benchmark(cfg: scn.ScenarioConfig, n_meters: int):
-    if n_meters <= 0:
-        return []
-    readings = synth_columns(cfg.profile, min(n_meters, cfg.nb_sh), cfg.weeks, cfg.seed)
-    sh, _removed = scn.clean_sh_datasets(scn.build_sh_datasets(readings, cfg.include_day_period))
-    return scn.benchmark_models(scn.split_sh_datasets(sh, cfg.seed), ["rep_tree", "model_tree"],
-                                cfg.tree_params())
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-instances", type=int, default=10)
     p.add_argument("--prune-fraction", type=float, default=0.25)
     p.add_argument("--smoothing", action="store_true")
-    p.add_argument("--include-day-period", action="store_true")
     p.add_argument("--dump-text", action="store_true",
                    help="also write a readable .txt rendering of each tree")
     p.add_argument("--seed", type=int, default=None)

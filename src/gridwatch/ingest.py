@@ -62,7 +62,6 @@ DAY_TYPES = ("weekday", "weekend")
 # Attribute names in tie-breaking order for split selection. "interval" holds
 # the hour index (1..24) for SH datasets and the slot index (1..48) for NBH.
 SH_ATTRIBUTES = ("interval", "day_type", "month", "season")
-SH_ATTRIBUTES_WITH_DAY_PERIOD = ("interval", "day_period", "day_type", "month", "season")
 NBH_ATTRIBUTES = ("interval", "day_period", "day_type", "month", "season")
 
 DATASET_CSV_HEADER = [
@@ -479,10 +478,7 @@ def group_by_meter(readings: Readings | Iterable[MeterReading]) -> dict[int, Rea
             for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())}
 
 
-def build_sh_dataset(
-    readings: Readings | Iterable[MeterReading],
-    include_day_period: bool = False,
-) -> tuple[Dataset, BuildReport]:
+def build_sh_dataset(readings: Readings | Iterable[MeterReading]) -> tuple[Dataset, BuildReport]:
     """Aggregate one meter's half-hour readings into an hourly SH dataset.
 
     Slot pairs (2k-1, 2k) are summed into hour k. Hours with exactly one of
@@ -506,7 +502,7 @@ def build_sh_dataset(
     lone = starts[counts == 1]
 
     ds = Dataset("SH", meter_id, day[pairs], hour[pairs], kwh[pairs] + kwh[pairs + 1],
-                 _attributes("SH", include_day_period))
+                 SH_ATTRIBUTES)
     flagged = [(date_of(d), h) for d, h in zip(day[lone].tolist(), hour[lone].tolist())]
     return ds, BuildReport(flagged, len(r) - keys.size)
 
@@ -582,6 +578,12 @@ def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     validation; leftover weeks at either edge stay in training. The same
     seed always produces the same membership.
     """
+    valid = _validation_mask(ds, seed)
+    return ds.take(np.flatnonzero(~valid)), ds.take(np.flatnonzero(valid))
+
+
+def _validation_mask(ds: Dataset, seed: int) -> np.ndarray:
+    """True on the rows of the validation weeks of ``split_train_validation``."""
     if not len(ds):
         raise SplitError("cannot split an empty dataset")
     start = int(ds.day.min())
@@ -599,51 +601,61 @@ def split_train_validation(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
     valid_weeks = [4 * b + int(rng.integers(4)) for b in range(n_blocks)]
-    valid = np.isin((ds.day - anchor) // 7, valid_weeks)
-    return ds.take(np.flatnonzero(~valid)), ds.take(np.flatnonzero(valid))
+    return np.isin((ds.day - anchor) // 7, valid_weeks)
 
 
-def _write_rows(path: str | Path, parts: Iterable[Dataset], label: str | None = None) -> None:
-    """Write the rows of each dataset in turn in the dataset schema, plus a
-    trailing label column if given.
+def _row_lines(ds: Dataset, tail: str = "\r\n") -> list[str]:
+    """The rows of a dataset as CSV lines in the dataset schema, each ending
+    in ``tail``.
 
-    The header is pinned: the ``interval`` column holds the interval kind
-    ("hour" for SH, "slot" for NBH) and ``hour_or_slot`` holds its number.
-    Lines are what ``csv.writer`` writes for these fields (no field needs
-    quoting), gathered from per-day and per-interval text.
+    The ``interval`` column holds the interval kind ("hour" for SH, "slot"
+    for NBH) and ``hour_or_slot`` holds its number. Lines are what
+    ``csv.writer`` writes for these fields (no field needs quoting),
+    gathered from per-day and per-interval text.
     """
-    header, tail = DATASET_CSV_HEADER, "\r\n"
-    if label is not None:
-        header, tail = header + ["label"], f",{label}\r\n"
+    meter = "" if ds.meter_id is None else ds.meter_id
+    table = ds._day_table()
+    day_text = [f"{ds.level},{meter},{date.isoformat()},{ds.interval_kind},"
+                for date in table.dates]
+    cal_text = [f",{day_type},{month},{season}," for day_type, month, season in table.attributes]
+    return [f"{day_text[d]}{i},{DAY_PERIODS[p]}{cal_text[d]}{k!r}{tail}"
+            for d, i, p, k in zip(table.inverse.tolist(), ds.interval.tolist(),
+                                  ds._day_periods().tolist(), ds.kwh.tolist())]
+
+
+def _write_lines(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
+    """A CSV file of the pinned header and the given rendered lines."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for ds in parts:
-            meter = "" if ds.meter_id is None else ds.meter_id
-            table = ds._day_table()
-            day_text = [f"{ds.level},{meter},{date.isoformat()},{ds.interval_kind},"
-                        for date in table.dates]
-            cal_text = [f",{day_type},{month},{season},"
-                        for day_type, month, season in table.attributes]
-            fh.writelines(f"{day_text[d]}{i},{DAY_PERIODS[p]}{cal_text[d]}{k!r}{tail}"
-                          for d, i, p, k in zip(table.inverse.tolist(), ds.interval.tolist(),
-                                                ds._day_periods().tolist(), ds.kwh.tolist()))
+        fh.writelines(lines)
 
 
-def write_dataset_csv(ds: Dataset, path: str | Path) -> None:
-    _write_rows(path, [ds])
+def write_dataset_csv(ds: Dataset, path: str | Path, split_paths: Sequence[str | Path] = (),
+                      seed: int = 0) -> None:
+    """Write a dataset CSV. Given (train path, validation path) as
+    ``split_paths``, also write there the two halves that
+    ``split_train_validation(ds, seed)`` makes, from the same rendered
+    lines, so no row is rendered twice."""
+    lines = _row_lines(ds)
+    _write_lines(path, DATASET_CSV_HEADER, lines)
+    if split_paths:
+        valid = _validation_mask(ds, seed)
+        for split_path, keep in zip(split_paths, (~valid, valid)):
+            _write_lines(split_path, DATASET_CSV_HEADER, itertools.compress(lines, keep))
 
 
 def write_removed_csv(removed: Dataset, path: str | Path) -> None:
     """Persist the cleaning report (removed rows) in the dataset schema."""
-    _write_rows(path, [removed])
+    _write_lines(path, DATASET_CSV_HEADER, _row_lines(removed))
 
 
 def write_labeled_csv(parts: Iterable[Dataset], label: str, path: str | Path) -> None:
     """The rows of each dataset in turn, in the dataset schema plus a
     trailing label column (suspect/attack/benign)."""
-    _write_rows(path, parts, label)
+    _write_lines(path, DATASET_CSV_HEADER + ["label"],
+                 itertools.chain.from_iterable(_row_lines(ds, f",{label}\r\n") for ds in parts))
 
 
 def _record_line(path: str | Path, index: int) -> int:
@@ -659,7 +671,7 @@ def _record_line(path: str | Path, index: int) -> int:
     return reader.line_num
 
 
-def read_dataset_csv(path: str | Path, include_day_period: bool = False) -> Dataset:
+def read_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset CSV back into columns.
 
     Every row must hold the file's one level ("SH" or "NBH") and meter id,
@@ -677,7 +689,7 @@ def read_dataset_csv(path: str | Path, include_day_period: bool = False) -> Data
 
     if not records:
         return Dataset("SH", None, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                       np.zeros(0), _attributes("SH", include_day_period))
+                       np.zeros(0), SH_ATTRIBUTES)
     if min(map(len, records)) < len(header):
         short = next(i for i, rec in enumerate(records) if len(rec) < len(header))
         raise fail(short, f"missing column or bad value: {len(records[short])} field(s)")
@@ -749,10 +761,4 @@ def read_dataset_csv(path: str | Path, include_day_period: bool = False) -> Data
                    np.array([day_codes[t] for t in dates], dtype=np.int64),
                    np.array(intervals, dtype=np.int64),
                    np.array(convert("consumption_kwh", float), dtype=np.float64),
-                   _attributes(level, include_day_period))
-
-
-def _attributes(level: str, include_day_period: bool) -> tuple[str, ...]:
-    if level == "NBH":
-        return NBH_ATTRIBUTES
-    return SH_ATTRIBUTES_WITH_DAY_PERIOD if include_day_period else SH_ATTRIBUTES
+                   NBH_ATTRIBUTES if level == "NBH" else SH_ATTRIBUTES)

@@ -39,12 +39,14 @@ def compute_metrics(predicted: Sequence[bool], truth: Sequence[bool]) -> dict:
     return rates_from_counts(tp, fn, fp, tn)
 
 
-def roc_curve(scores: Sequence[float], truth: Sequence[bool]) -> tuple[list[tuple[float, float]], float]:
+def roc_curve(scores: Sequence[float],
+              truth: Sequence[bool]) -> tuple[np.ndarray, np.ndarray, float]:
     """Threshold sweep over the residual-margin scores.
 
     Classifies positive where score >= threshold, sweeping every distinct
-    score from high to low; returns ((fpr, tpr) points including (0,0) and
-    (1,1)) and the trapezoidal AUC. Requires both classes present.
+    score from high to low; returns the float64 ``fpr`` and ``tpr`` of the
+    curve's points, from (0, 0) to (1, 1), and the trapezoidal AUC, its
+    terms added in point order. Requires both classes present.
     """
     s = np.asarray(scores, dtype=float)
     t = np.asarray(truth, dtype=bool)
@@ -60,18 +62,11 @@ def roc_curve(scores: Sequence[float], truth: Sequence[bool]) -> tuple[list[tupl
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     t_sorted = t[order]
-    tps = np.cumsum(t_sorted)
-    fps = np.cumsum(~t_sorted)
-    # keep the last index of each distinct score (all ties classified together)
+    # the last index of each distinct score (all ties classified together);
+    # the last of all counts every row, so the curve ends at (1, 1)
     last_of_score = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-
-    points = [(0.0, 0.0)]
-    for i in last_of_score:
-        points.append((float(fps[i]) / n_neg, float(tps[i]) / n_pos))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return points, float(auc)
+    fpr = np.concatenate(([0.0], np.cumsum(~t_sorted)[last_of_score] / n_neg))
+    tpr = np.concatenate(([0.0], np.cumsum(t_sorted)[last_of_score] / n_pos))
+    # cumsum adds left to right, as a running total over the points would
+    auc = np.cumsum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1]
+    return fpr, tpr, float(auc)

@@ -23,19 +23,17 @@ separately (and end up in the run manifest).
 from __future__ import annotations
 
 import dataclasses
-import datetime as dt
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import attacks as atk
 from .detect import AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState, replay
 from .errors import ScenarioError
-from .ingest import (Dataset, MeterReading, ParseResult, Readings, build_nbh_dataset,
-                     build_sh_dataset, clean_dataset, group_by_meter, open_raw, parse_raw,
-                     split_train_validation)
+from .ingest import (Dataset, ParseResult, Readings, build_nbh_dataset, build_sh_dataset,
+                     clean_dataset, group_by_meter, open_raw, parse_raw, split_train_validation)
 from .metrics import rates_from_counts, roc_curve
 from .synth import SynthProfile, synth_raw_lines
 from .trees import (TreeModel, TreeParams, _predict_dataset, count_leaves, serialize,
@@ -65,7 +63,6 @@ class ScenarioConfig:
     min_instances: int = 10
     prune_fraction: float = 0.25
     smoothing: bool = False
-    include_day_period: bool = False
     jobs: int = 1
     raw_path: str | None = None
 
@@ -74,6 +71,13 @@ class ScenarioConfig:
             raise ValueError("nb_sh must be >= 1")
         if self.weeks < 4:
             raise ValueError("weeks must be >= 4 (train/validation split needs 4 whole weeks)")
+        for key, proportion in self.mix.items():
+            if key not in atk.ATTACK_TYPES:
+                raise ValueError(f"mix key {key!r} is not one of {', '.join(atk.ATTACK_TYPES)}")
+            if not (isinstance(proportion, (int, float)) and 0.0 <= proportion <= 1.0):
+                raise ValueError(f"mix {key!r} is {proportion!r}; a proportion lies in [0, 1]")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, not {self.jobs!r}")
 
     def attack_specs(self) -> dict[str, atk.AttackSpec]:
         specs = {}
@@ -115,9 +119,10 @@ class ScenarioConfig:
 class ScenarioResult:
     report: dict
     alerts: list[tuple[str, AlertEvent]]  # (replayed stream's attack type, event)
-    roc: dict[tuple[str, str], list[tuple[float, float]]]
+    roc: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]  # (fpr, tpr) per curve
     corpus: atk.Corpus
     training_rows: list[dict]
+    benchmark_rows: list[dict]
     timings: dict[str, float]
 
 
@@ -177,7 +182,7 @@ def _score_rates(neg: np.ndarray, pos: np.ndarray) -> dict:
     return rates_from_counts(tp, fn, fp, tn)
 
 
-def _type_report(scores: _LevelScores, attack_type: str) -> tuple[dict, list]:
+def _type_report(scores: _LevelScores, attack_type: str) -> tuple[dict, tuple | None]:
     if attack_type == "all":
         pos = np.concatenate([v for v in scores.pos_margins.values()]) \
             if scores.pos_margins else np.empty(0)
@@ -190,18 +195,23 @@ def _type_report(scores: _LevelScores, attack_type: str) -> tuple[dict, list]:
     entry = _score_rates(neg, pos)
     entry["rmse_benign"] = float(np.sqrt(scores.benign_sqerr.mean())) if neg.size else None
     entry["rmse_attack"] = float(np.sqrt(pos_sq.mean())) if pos.size else None
-    points: list = []
+    curve = None
     if pos.size and neg.size:
-        points, auc = roc_curve(
+        fpr, tpr, auc = roc_curve(
             np.concatenate([neg, pos]),
             np.concatenate([np.zeros(neg.size, bool), np.ones(pos.size, bool)]),
         )
+        curve = (fpr, tpr)
         entry["auc"] = auc
-    return entry, points
+    return entry, curve
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    """Execute the full pipeline; any stage failure names the stage."""
+def run_scenario(cfg: ScenarioConfig, benchmark_meters: int = 0) -> ScenarioResult:
+    """Execute the full pipeline; any stage failure names the stage.
+
+    The benchmark stage sets a rep tree, trained on the same split, beside
+    the model tree of each of the first ``benchmark_meters`` homes.
+    """
     timings: dict[str, float] = {}
 
     def stage(name, fn, *args, **kwargs):
@@ -223,8 +233,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     corpus = stage("attack", _attack, sh_splits, nbh_split, cfg)
     predictions = stage("predict", _predict, corpus, sh_models, nbh_model)
     detection = stage("detect", _detect, corpus, predictions, sh_models, nbh_model, cfg)
-    report, roc_points = stage("score", _score, cfg, parse_counts, removed_counts,
+    report, roc_curves = stage("score", _score, cfg, parse_counts, removed_counts,
                                sh_models, nbh_model, corpus, predictions, detection)
+    first = sorted(sh_models)[:max(benchmark_meters, 0)]
+    benchmark_rows = stage("benchmark", benchmark_models, sh_splits,
+                           {m: sh_models[m] for m in first}, cfg.tree_params())
 
     training_rows = [model_report_row(m, sh_models[m]) for m in sorted(sh_models)]
     training_rows.append(model_report_row("NBH", nbh_model))
@@ -232,9 +245,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         report=report,
         alerts=detection["alerts"],
-        roc=roc_points,
+        roc=roc_curves,
         corpus=corpus,
         training_rows=training_rows,
+        benchmark_rows=benchmark_rows,
         timings=timings,
     )
 
@@ -247,36 +261,23 @@ def _ingest(cfg: ScenarioConfig) -> ParseResult:
     return parse_raw(lines)
 
 
-def build_sh_datasets(readings: Readings | Iterable[MeterReading],
-                      include_day_period: bool) -> dict[int, Dataset]:
-    """One hourly dataset per meter, keyed and ordered by meter id."""
-    return {m: build_sh_dataset(rs, include_day_period)[0]
-            for m, rs in group_by_meter(readings).items()}
-
-
-def clean_sh_datasets(sh: dict[int, Dataset]) -> tuple[dict[int, Dataset], int]:
-    """Clean every meter's dataset; returns them with the removed-row count."""
-    cleaned = {m: clean_dataset(ds) for m, ds in sh.items()}
-    return ({m: ds for m, (ds, _) in cleaned.items()},
-            sum(len(removed) for _, removed in cleaned.values()))
-
-
-def split_sh_datasets(sh: dict[int, Dataset], seed: int) -> dict[int, tuple[Dataset, Dataset]]:
-    return {m: split_train_validation(ds, seed) for m, ds in sh.items()}
-
-
 def _build(readings: Readings, cfg: ScenarioConfig):
-    return build_sh_datasets(readings, cfg.include_day_period), build_nbh_dataset(readings)[0]
+    """One hourly dataset per meter, keyed and ordered by meter id, and the
+    neighborhood dataset."""
+    sh = {m: build_sh_dataset(rs)[0] for m, rs in group_by_meter(readings).items()}
+    return sh, build_nbh_dataset(readings)[0]
 
 
 def _clean(sh: dict[int, Dataset], nbh: Dataset):
-    sh_clean, sh_removed = clean_sh_datasets(sh)
+    cleaned = {m: clean_dataset(ds) for m, ds in sh.items()}
     nbh_clean, nbh_removed = clean_dataset(nbh)
-    return sh_clean, nbh_clean, {"sh": sh_removed, "nbh": len(nbh_removed)}
+    return ({m: ds for m, (ds, _) in cleaned.items()}, nbh_clean,
+            {"sh": sum(len(removed) for _, removed in cleaned.values()), "nbh": len(nbh_removed)})
 
 
 def _split(sh: dict[int, Dataset], nbh: Dataset, seed: int):
-    return split_sh_datasets(sh, seed), split_train_validation(nbh, seed)
+    return ({m: split_train_validation(ds, seed) for m, ds in sh.items()},
+            split_train_validation(nbh, seed))
 
 
 def _train(sh_splits, nbh_split, cfg: ScenarioConfig):
@@ -419,14 +420,14 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
     else:
         report_types = ["none"]  # benign-only run: fpr still measured, tpr absent
     report_levels: dict = {}
-    roc_points: dict[tuple[str, str], list] = {}
+    roc_curves: dict[tuple[str, str], tuple] = {}
     for level in ("SH", "NBH"):
         pooled = {}
         for attack_type in report_types:
-            entry, points = _type_report(per_level[level], attack_type)
+            entry, curve = _type_report(per_level[level], attack_type)
             pooled[attack_type] = entry
-            if points:
-                roc_points[(level, attack_type)] = points
+            if curve is not None:
+                roc_curves[(level, attack_type)] = curve
         report_levels[level] = {"pooled": pooled}
     report_levels["SH"]["macro"] = per_meter_rates
 
@@ -459,7 +460,7 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
                                     if a.kind == "attack_confirmed"),
         },
     }
-    return report, roc_points
+    return report, roc_curves
 
 
 def _macro_rates(meter_pools: dict[int, dict]) -> dict:
@@ -505,19 +506,20 @@ def _fmt(v) -> str:
     return "" if v is None else repr(v)
 
 
-def benchmark_models(splits: dict, algorithms: Sequence[str],
-                     params: TreeParams | None = None) -> list[dict]:
-    """Train each algorithm on each split and tabulate cost and accuracy.
+def benchmark_models(splits: dict[int, tuple[Dataset, Dataset]],
+                     models: dict[int, TreeModel], params: TreeParams) -> list[dict]:
+    """Set a rep tree beside each home's trained model tree: cost and accuracy.
 
-    Training on the split's validation part stamps the validation MAE and
-    RMSE on the model, so the report row carries them without a re-evaluation.
+    Each meter of ``models`` gets a ``rep_tree`` row, trained on its split,
+    and a ``model_tree`` row, the report row of its model. Training on the
+    split's validation part stamps the validation MAE and RMSE on the
+    model, so the rows carry them without a re-evaluation.
     """
-    params = params or TreeParams()
-    trainers = {"rep_tree": train_rep_tree, "model_tree": train_model_tree}
     rows: list[dict] = []
-    for key in sorted(splits):
-        train, valid = splits[key]
-        for algorithm in algorithms:
-            row = model_report_row(key, trainers[algorithm](train, params, valid=valid))
-            rows.append({"dataset": key, "algorithm": algorithm, **row})
+    for meter_id in sorted(models):
+        train, valid = splits[meter_id]
+        for algorithm, model in (("rep_tree", train_rep_tree(train, params, valid=valid)),
+                                 ("model_tree", models[meter_id])):
+            rows.append({"dataset": meter_id, "algorithm": algorithm,
+                         **model_report_row(meter_id, model)})
     return rows

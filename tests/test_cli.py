@@ -11,6 +11,7 @@ import pytest
 from gridwatch import cli
 from gridwatch.cli import _write_alerts, main
 from gridwatch.detect import AlertEvent
+from gridwatch.ingest import read_dataset_csv, split_train_validation, write_dataset_csv
 from gridwatch.manifest import read_manifest, verify_manifest, write_json, write_manifest
 from gridwatch.synth import SynthProfile, synth_raw_lines
 
@@ -46,6 +47,20 @@ def test_ingest_writes_datasets_and_manifest(ingested):
     assert manifest["command"] == "ingest"
     assert "datasets/sh_1.csv" in manifest["artifacts"]
     assert verify_manifest(ingested) == []
+
+
+def test_ingest_split_files_equal_writing_each_half(ingested, tmp_path):
+    """The split files, cut from the dataset's rendered lines, are the bytes
+    of writing each half of split_train_validation on its own."""
+    stems = [p.stem for p in (ingested / "datasets").glob("*.csv")
+             if not p.stem.startswith("removed_")]
+    assert sorted(stems) == ["nbh", "sh_1", "sh_2", "sh_3"]
+    for stem in stems:
+        halves = split_train_validation(read_dataset_csv(ingested / "datasets" / f"{stem}.csv"), 13)
+        for half, part in zip(halves, ("train", "valid")):
+            write_dataset_csv(half, tmp_path / f"{stem}_{part}.csv")
+            assert (tmp_path / f"{stem}_{part}.csv").read_bytes() == \
+                (ingested / "splits" / f"{stem}_{part}.csv").read_bytes()
 
 
 def test_ingest_meter_filter(raw_file, tmp_path):
@@ -351,6 +366,51 @@ def test_simulate_bad_config_is_user_error(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4, "typo_key": 1}))
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"mix": {"t9": 1.0}}, "t9"),
+    ({"mix": {"t1": 1.7}}, "t1"),
+    ({"mix": {"t1": -0.5}}, "t1"),
+    ({"jobs": 0}, "jobs"),
+    ({"include_day_period": True}, "include_day_period"),
+])
+def test_simulate_rejects_config_naming_key(tmp_path, capsys, extra, key):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4, **extra}))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(config_path) in err and key in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_jobs_flag_below_one_is_user_error(tmp_path, capsys):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4}))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                 "--jobs", "0"]) == 2
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_benchmark_model_tree_rows_are_the_trained_models(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"nb_sh": 3, "weeks": 4, "seed": 5, "mix": {"t3": 1.0}}))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(run),
+                 "--benchmark-meters", "2"]) == 0
+    with open(run / "model_benchmark.csv", newline="") as fh:
+        bench = list(csv.DictReader(fh))
+    with open(run / "training_report.csv", newline="") as fh:
+        trained = {r.pop("meter_id"): r for r in csv.DictReader(fh)}
+    assert {r.pop("kind") for r in trained.values()} == {"model_tree", "rep_tree"}
+    assert [(r["dataset"], r["algorithm"]) for r in bench] == [
+        ("1", "rep_tree"), ("1", "model_tree"), ("2", "rep_tree"), ("2", "model_tree")]
+    for row in bench:
+        meter = row.pop("dataset")
+        if row.pop("algorithm") == "model_tree":
+            assert row == trained[meter]
+    assert "benchmark" in read_manifest(run)["stage_seconds"]
 
 
 def test_report_missing_run_is_user_error(tmp_path):

@@ -14,7 +14,7 @@ from gridwatch.ingest import (EPOCH, build_sh_dataset, clean_dataset, feature_ve
 from gridwatch.scenario import ScenarioConfig, benchmark_models, run_scenario, summary_rows
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, SynthProfile, expected_kwh,
                              meter_scale, synth_raw_lines, synth_readings)
-from gridwatch.trees import TreeParams, predict
+from gridwatch.trees import TreeParams, predict, train_model_tree
 
 SMALL = ScenarioConfig(nb_sh=3, weeks=4, seed=3, jobs=1)
 
@@ -119,7 +119,8 @@ def test_scenario_alert_events_satisfy_threshold_invariant(small_result):
 
 
 def test_scenario_roc_curves_valid(small_result):
-    for (level, attack_type), points in small_result.roc.items():
+    for (level, attack_type), (fpr, tpr) in small_result.roc.items():
+        points = list(zip(fpr.tolist(), tpr.tolist()))
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         assert points[0] == (0.0, 0.0) and points[-1] == (1.0, 1.0)
@@ -271,6 +272,13 @@ def test_scenario_rejects_short_runs():
         ScenarioConfig(nb_sh=2, weeks=3)
 
 
+@pytest.mark.parametrize("change", [{"mix": {"t9": 1.0}}, {"mix": {"t1": 1.7}},
+                                    {"mix": {"t2": "half"}}, {"jobs": 0}])
+def test_scenario_config_rejects_bad_mix_and_jobs(change):
+    with pytest.raises(ValueError, match=next(iter(change.get("mix", change)))):
+        dataclasses.replace(SMALL, **change)
+
+
 def test_summary_rows_shape(small_result):
     rows = summary_rows(small_result.report)
     assert rows[0] == ["level", "attack_type", "rmse", "rmse_a",
@@ -288,27 +296,29 @@ def benchmark_splits():
     per_meter = {}
     for r in readings:
         per_meter.setdefault(r.meter_id, []).append(r)
-    splits = {}
+    splits, models = {}, {}
     for m in sorted(per_meter):
         ds, _ = build_sh_dataset(per_meter[m])
         ds, _ = clean_dataset(ds)
         splits[m] = split_train_validation(ds, 7)
-    return splits
+        models[m] = train_model_tree(splits[m][0], TreeParams(seed=7), valid=splits[m][1])
+    return splits, models
 
 
 def test_benchmark_empty_algorithm_list(benchmark_splits):
-    assert benchmark_models(benchmark_splits, []) == []
+    splits, _models = benchmark_splits
+    assert benchmark_models(splits, {}, TreeParams(seed=7)) == []
 
 
 def test_benchmark_model_tree_beats_rep_tree_on_smooth_data(benchmark_splits):
-    rows = benchmark_models(benchmark_splits, ["rep_tree", "model_tree"], TreeParams(seed=7))
+    rows = benchmark_models(*benchmark_splits, TreeParams(seed=7))
     rep = {r["dataset"]: r["rmse"] for r in rows if r["algorithm"] == "rep_tree"}
     m5 = {r["dataset"]: r["rmse"] for r in rows if r["algorithm"] == "model_tree"}
     assert all(m5[k] <= rep[k] for k in rep)
 
 
 def test_benchmark_rep_tree_trains_faster(benchmark_splits):
-    rows = benchmark_models(benchmark_splits, ["rep_tree", "model_tree"], TreeParams(seed=7))
+    rows = benchmark_models(*benchmark_splits, TreeParams(seed=7))
     rep = sum(r["train_seconds"] for r in rows if r["algorithm"] == "rep_tree")
     m5 = sum(r["train_seconds"] for r in rows if r["algorithm"] == "model_tree")
     assert rep < m5
