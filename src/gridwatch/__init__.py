@@ -11,8 +11,8 @@ from .attacks import ATTACK_TYPES, AttackSpec, LabeledSeries, apply_attack, gene
 from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState,
                      decide, nbh_step, sh_step)
 from .ingest import (Dataset, FeatureVector, MeterReading, Readings, build_nbh_dataset,
-                     build_sh_dataset, clean_dataset, decode_timestamp,
-                     derive_features, parse_raw, split_train_validation)
+                     build_sh_dataset, clean_dataset, decode_timestamp, parse_raw,
+                     split_train_validation)
 from .metrics import compute_metrics, roc_curve
 from .scenario import ScenarioConfig, benchmark_models, run_scenario
 from .synth import SynthProfile, synth_columns, synth_raw_lines, synth_readings

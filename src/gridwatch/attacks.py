@@ -68,17 +68,19 @@ class AttackSpec:
     def __post_init__(self):
         if self.attack_type not in ATTACK_TYPES:
             raise ValueError(f"unknown attack type {self.attack_type!r}")
+        factors = f"factors of {self.attack_type} ({self.factor_low}, {self.factor_high})"
         if self.factor_low <= 0:
-            raise ValueError("factor range lower bound must be > 0")
+            raise ValueError(f"{factors}: lower bound must be > 0")
         if self.factor_high < self.factor_low:
-            raise ValueError("factor range upper bound below lower bound")
+            raise ValueError(f"{factors}: upper bound below lower bound")
         for start, end in self.peak_windows:
             if not (0 <= start <= end <= 23):
-                raise ValueError(f"peak window ({start}, {end}) outside wall-clock hours")
+                raise ValueError(f"peak_windows entry ({start}, {end}) outside wall-clock "
+                                 f"hours 0..23")
         if not 1 <= self.min_off_time <= 23:
-            raise ValueError("min_off_time must lie in [1, 23]")
+            raise ValueError(f"min_off_time must lie in [1, 23], not {self.min_off_time!r}")
         if self.period < 1:
-            raise ValueError("period must be >= 1")
+            raise ValueError(f"t4 period must be >= 1, not {self.period!r}")
 
 
 def default_spec(attack_type: str, seed: int = 0) -> AttackSpec:

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import attacks as atk
 from . import scenario as scn
-from .detect import NbhDetectorState, ShDetectorState, replay
+from .detect import (COUNTER_MODES, DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, NbhDetectorState,
+                     ShDetectorState, check_counter, replay)
 from .errors import GridwatchError, ScenarioError, SequencingError, UserInputError
 from .ingest import (Dataset, build_nbh_dataset, build_sh_dataset, clean_dataset,
                      clock_hour, day_code_of, group_by_meter, open_raw, parse_raw,
@@ -50,6 +51,8 @@ def _resolve_seed(args, config_seed: int | None = None) -> int:
         seed = args.seed
     if os.environ.get(ENV_SEED):
         seed = int(os.environ[ENV_SEED])
+    if seed < 0:
+        raise UserInputError(f"seed must be >= 0, not {seed}")
     return seed
 
 
@@ -139,11 +142,15 @@ def cmd_train(args) -> int:
     data = Path(args.data)
     splits_dir = data / "splits"
     _missing(splits_dir, "splits directory (run `gridwatch ingest --split` first)")
+    params = scn.TreeParams(args.min_instances, args.prune_fraction,
+                            args.smoothing, seed=seed)
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise UserInputError(f"bad training settings: {exc}") from exc
     out = Path(args.out)
     models_dir = out / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    params = scn.TreeParams(args.min_instances, args.prune_fraction,
-                            args.smoothing, seed=seed)
     t0 = time.perf_counter()
 
     report_rows = []
@@ -251,6 +258,10 @@ def _corpus_streams(path: Path, level: str) -> list[tuple[str, Dataset]]:
 
 
 def cmd_detect(args) -> int:
+    try:
+        check_counter(args.nbr_incr, args.n_window, args.counter_mode)
+    except ValueError as exc:
+        raise UserInputError(f"bad detector settings: {exc}") from exc
     models_dir = Path(args.models)
     _missing(models_dir, "models directory")
     out = Path(args.out)
@@ -439,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="ingest output directory (with splits/)")
     p.add_argument("--out", required=True)
     p.add_argument("--level", choices=("sh", "nbh", "both"), default="both")
-    p.add_argument("--min-instances", type=int, default=10)
-    p.add_argument("--prune-fraction", type=float, default=0.25)
+    p.add_argument("--min-instances", type=int, default=scn.TreeParams().min_instances)
+    p.add_argument("--prune-fraction", type=float, default=scn.TreeParams().prune_fraction)
     p.add_argument("--smoothing", action="store_true")
     p.add_argument("--dump-text", action="store_true",
                    help="also write a readable .txt rendering of each tree")
@@ -459,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, help="corpus CSV to replay")
     p.add_argument("--dataset", default=None, help="dataset CSV to replay (benign stream)")
     p.add_argument("--level", choices=("sh", "nbh"), default="sh")
-    p.add_argument("--nbr-incr", type=int, default=2)
-    p.add_argument("--n-window", type=int, default=4)
-    p.add_argument("--counter-mode", choices=("windowed", "lifetime"), default="windowed")
+    p.add_argument("--nbr-incr", type=int, default=DEFAULT_NBR_INCR)
+    p.add_argument("--n-window", type=int, default=DEFAULT_N_WINDOW)
+    p.add_argument("--counter-mode", choices=COUNTER_MODES, default="windowed")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_detect)

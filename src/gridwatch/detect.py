@@ -30,6 +30,22 @@ from .trees import TreeModel, predict
 
 DEFAULT_NBR_INCR = 2
 DEFAULT_N_WINDOW = 4
+COUNTER_MODES = ("windowed", "lifetime")
+
+
+def check_counter(nbr_incr: int, n_window: int, mode: str) -> None:
+    """Reject home-detector settings under which it could never alert or
+    would not count: a window of n_window flags counts at most n_window."""
+    if mode not in COUNTER_MODES:
+        raise ValueError(f"unknown counter_mode {mode!r}; expected one of "
+                         f"{', '.join(COUNTER_MODES)}")
+    if n_window < 1:
+        raise ValueError(f"n_window must be >= 1, not {n_window!r}")
+    if mode == "windowed" and not 0 <= nbr_incr < n_window:
+        raise ValueError(f"nbr_incr {nbr_incr!r} lies outside [0, n_window) = [0, {n_window}) "
+                         f"in windowed mode")
+    if nbr_incr < 0:
+        raise ValueError(f"nbr_incr must be >= 0, not {nbr_incr!r}")
 
 
 @dataclasses.dataclass
@@ -76,8 +92,7 @@ class ShDetectorState(_DetectorState):
 
     def __init__(self, meter_id: int, model: TreeModel, nbr_incr: int = DEFAULT_NBR_INCR,
                  n_window: int = DEFAULT_N_WINDOW, mode: str = "windowed"):
-        if mode not in ("windowed", "lifetime"):
-            raise ValueError(f"unknown counter mode {mode!r}")
+        check_counter(nbr_incr, n_window, mode)
         super().__init__(model)
         self.meter_id = meter_id
         self.nbr_incr = nbr_incr

@@ -238,19 +238,12 @@ class Dataset:
         return {"day_period": self._day_periods(), "day_type": per_row[:, 0],
                 "month": per_row[:, 1], "season": per_row[:, 2]}
 
-    def vectors(self, idx: Iterable[int]) -> list[FeatureVector]:
-        """Feature vectors of the rows idx."""
-        idx = np.asarray(idx, dtype=np.intp)
-        table = self._day_table()
-        return [FeatureVector(table.dates[d], i, DAY_PERIODS[p], *table.attributes[d], k)
-                for d, i, p, k in zip(table.inverse[idx].tolist(), self.interval[idx].tolist(),
-                                      self._day_periods()[idx].tolist(),
-                                      self.kwh[idx].tolist())]
-
     @property
     def rows(self) -> list[FeatureVector]:
         """Every row as a feature vector (built on each access)."""
-        return self.vectors(range(len(self)))
+        kind = self.interval_kind
+        return [feature_vector(d, i, kind, k) for d, i, k in
+                zip(self.dates(), self.interval.tolist(), self.kwh.tolist())]
 
 
 @dataclasses.dataclass
@@ -340,11 +333,6 @@ def _day_period(interval: int, kind: str) -> str:
 
     Cached: only the 72 valid (interval, kind) pairs return, the rest raise."""
     return "day" if DAY_START_HOUR <= clock_hour(interval, kind) <= DAY_END_HOUR else "night"
-
-
-def derive_features(date: dt.date, interval: int, kind: str = "hour") -> tuple[str, str, int, str]:
-    """Return (day_period, day_type, month, season) for a date and interval."""
-    return (_day_period(interval, kind), *_calendar(date))
 
 
 def feature_vector(date: dt.date, interval: int, kind: str, consumption: float) -> FeatureVector:

@@ -30,7 +30,8 @@ from typing import Iterable
 import numpy as np
 
 from . import attacks as atk
-from .detect import AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorState, replay
+from .detect import (DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent, DecisionMaker,
+                     NbhDetectorState, ShDetectorState, check_counter, replay)
 from .errors import ScenarioError
 from .ingest import (Dataset, ParseResult, Readings, build_nbh_dataset, build_sh_dataset,
                      clean_dataset, group_by_meter, open_raw, parse_raw, split_train_validation)
@@ -57,12 +58,12 @@ class ScenarioConfig:
     peak_windows: tuple = atk.DEFAULT_PEAK_WINDOWS
     min_off_time: int = atk.DEFAULT_MIN_OFF_TIME
     t4_period: int = 1
-    nbr_incr: int = 2
-    n_window: int = 4
+    nbr_incr: int = DEFAULT_NBR_INCR
+    n_window: int = DEFAULT_N_WINDOW
     counter_mode: str = "windowed"  # or "lifetime" (paper-literal counter)
-    min_instances: int = 10
-    prune_fraction: float = 0.25
-    smoothing: bool = False
+    min_instances: int = TreeParams().min_instances
+    prune_fraction: float = TreeParams().prune_fraction
+    smoothing: bool = TreeParams().smoothing
     jobs: int = 1
     raw_path: str | None = None
 
@@ -78,6 +79,15 @@ class ScenarioConfig:
                 raise ValueError(f"mix {key!r} is {proportion!r}; a proportion lies in [0, 1]")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, not {self.jobs!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
+        for key in self.factors:
+            if key not in atk.ATTACK_TYPES:
+                raise ValueError(f"factors key {key!r} is not one of "
+                                 f"{', '.join(atk.ATTACK_TYPES)}")
+        check_counter(self.nbr_incr, self.n_window, self.counter_mode)
+        self.tree_params().validate()
+        self.attack_specs()
 
     def attack_specs(self) -> dict[str, atk.AttackSpec]:
         specs = {}

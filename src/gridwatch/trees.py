@@ -20,11 +20,19 @@ attribute declaration order and then lowest threshold:
   its subtree; optional smoothing blends the leaf prediction with ancestor
   models along the root path at prediction time.
 
+Every prediction is one tree walk, ``_predict_encoded``: it takes rows
+of encoded calendar attributes as columns, routes them with
+``_split_indices``, the split rule that growing and pruning use, applies
+the leaf models (and smoothing) column by column, and clamps at 0. A
+category code that a split never saw at induction follows the child that
+held more training rows. ``_predict_dataset`` and ``evaluate`` walk each
+distinct calendar key of a dataset once.
+
 A prediction depends only on a vector's calendar attributes (interval,
-day period, day type, month, season), never on its consumption, so each
-model memoises its predictions per calendar key. The memo lives on the
-model instance: it is bounded by the number of distinct keys (at most
-48 x 2 x 2 x 12 x 4), is never serialized, and starts empty after
+day period, day type, month, season), never on its consumption, so the
+per-observation ``predict`` memoises its walks per calendar key. The memo
+lives on the model instance: it is bounded by the number of distinct keys
+(at most 48 x 2 x 2 x 12 x 4), is never serialized, and starts empty after
 ``deserialize``. It is exact under one rule: a model is not mutated after
 its first ``predict``. Nothing in this package mutates a model once
 training has returned it. Concurrent ``predict`` calls on one model are
@@ -42,16 +50,15 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ContractViolation, ModelDecodeError, TrainingError
-from .ingest import Dataset, FeatureVector, SEASONS
+from .ingest import DAY_PERIODS, DAY_TYPES, SEASONS, Dataset, FeatureVector
 
 log = logging.getLogger(__name__)
 
 MAGIC = b"AMIM"
 FORMAT_VERSION = 1
 
-SEASON_CODE = {name: float(i) for i, name in enumerate(SEASONS)}
-BINARY_CODE = {"night": 0.0, "day": 1.0, "weekday": 0.0, "weekend": 1.0}
 CATEGORICAL_ATTRIBUTES = frozenset({"season"})
+_CATEGORIES = {"day_period": DAY_PERIODS, "day_type": DAY_TYPES, "season": SEASONS}
 
 _EPS_GAIN = 1e-12
 SMOOTHING_K = 15.0   # M5 smoothing constant: weight of the ancestor model's prediction
@@ -75,16 +82,10 @@ class TreeParams:
 
 @dataclasses.dataclass
 class LinearModel:
-    """intercept + coef . design_row, with coef aligned to design columns."""
+    """intercept + coef . (a design-matrix row), coef aligned to design columns."""
 
     intercept: float
     coef: tuple[float, ...]
-
-    def predict_design(self, d: np.ndarray) -> float:
-        total = self.intercept
-        for c, v in zip(self.coef, d):
-            total += c * v
-        return total
 
 
 @dataclasses.dataclass
@@ -131,25 +132,23 @@ class TreeModel:
 # encoding
 
 def encode_value(attr: str, fv: FeatureVector) -> float:
-    if attr == "interval":
-        return float(fv.interval)
-    if attr == "day_period":
-        return BINARY_CODE[fv.day_period]
-    if attr == "day_type":
-        return BINARY_CODE[fv.day_type]
-    if attr == "month":
-        return float(fv.month)
-    if attr == "season":
-        return SEASON_CODE[fv.season]
+    """The code of one attribute of a vector: the interval and month as
+    numbers, a category as its index in DAY_PERIODS, DAY_TYPES or SEASONS."""
+    if attr in ("interval", "month"):
+        return float(getattr(fv, attr))
+    if attr in _CATEGORIES:
+        return float(_CATEGORIES[attr].index(getattr(fv, attr)))
     raise ValueError(f"unknown attribute {attr!r}")
 
 
-def encode_matrix(ds: Dataset) -> np.ndarray:
-    """One row per dataset row, one column per attribute of ``ds.attributes``;
-    entry (i, j) equals ``encode_value`` of attribute j on row i's vector."""
+def encode_matrix(ds: Dataset, attributes: Sequence[str] | None = None) -> np.ndarray:
+    """One row per dataset row, one column per attribute (``ds.attributes``
+    unless given); entry (i, j) equals ``encode_value`` of attribute j on
+    row i's vector."""
+    attributes = ds.attributes if attributes is None else attributes
     codes = {"interval": ds.interval, **ds.calendar()}
-    out = np.empty((len(ds), len(ds.attributes)))
-    for j, attr in enumerate(ds.attributes):
+    out = np.empty((len(ds), len(attributes)))
+    for j, attr in enumerate(attributes):
         if attr not in codes:
             raise ValueError(f"unknown attribute {attr!r}")
         out[:, j] = codes[attr]
@@ -158,13 +157,8 @@ def encode_matrix(ds: Dataset) -> np.ndarray:
 
 def design_columns(attributes: Sequence[str]) -> list[str]:
     """Column names of the linear-leaf design matrix (no intercept column)."""
-    cols: list[str] = []
-    for attr in attributes:
-        if attr == "season":
-            cols.extend(f"season_{name}" for name in SEASONS)
-        else:
-            cols.append(attr)
-    return cols
+    return [col for attr in attributes
+            for col in ([f"season_{name}" for name in SEASONS] if attr == "season" else [attr])]
 
 
 def design_matrix(encoded: np.ndarray, attributes: Sequence[str]) -> np.ndarray:
@@ -173,27 +167,10 @@ def design_matrix(encoded: np.ndarray, attributes: Sequence[str]) -> np.ndarray:
     for j, attr in enumerate(attributes):
         col = encoded[:, j]
         if attr == "season":
-            onehot = np.zeros((encoded.shape[0], len(SEASONS)))
-            for code in range(len(SEASONS)):
-                onehot[:, code] = (col == code).astype(float)
-            blocks.append(onehot)
+            blocks.append((col[:, None] == np.arange(len(SEASONS))).astype(float))
         else:
             blocks.append(col.reshape(-1, 1))
     return np.hstack(blocks)
-
-
-def encode_row(fv: FeatureVector, attributes: Sequence[str]) -> np.ndarray:
-    return np.array([encode_value(attr, fv) for attr in attributes])
-
-
-def design_row(x: np.ndarray, attributes: Sequence[str]) -> np.ndarray:
-    parts: list[float] = []
-    for j, attr in enumerate(attributes):
-        if attr == "season":
-            parts.extend(1.0 if x[j] == code else 0.0 for code in range(len(SEASONS)))
-        else:
-            parts.append(float(x[j]))
-    return np.array(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +197,6 @@ def sd_reduction(parent: Sequence[float], children: Sequence[Sequence[float]]) -
     for c in kids:
         total -= (c.size / p.size) * _sd(c)
     return total
-
-
-@dataclasses.dataclass
-class _Candidate:
-    attr_index: int
-    kind: str
-    threshold: float = 0.0
-    subset: frozenset = frozenset()
-    seen: frozenset = frozenset()
-    gain: float = 0.0
 
 
 def _numeric_candidates(v: np.ndarray, y: np.ndarray, sd_parent: float,
@@ -274,10 +241,11 @@ def _subset_candidates(values: np.ndarray) -> list[frozenset]:
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                attributes: Sequence[str], min_instances: int) -> _Candidate | None:
+                attributes: Sequence[str], min_instances: int) -> Split | None:
+    """The best split of the rows idx, without children, or None."""
     yv = y[idx]
     sd_parent = _sd(yv)
-    best: _Candidate | None = None
+    best: Split | None = None
     best_gain = _EPS_GAIN
     for j, attr in enumerate(attributes):
         v = X[idx, j]
@@ -292,29 +260,40 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
                 gain = sd_parent - (nl / n) * _sd(yv[mask]) - ((n - nl) / n) * _sd(yv[~mask])
                 if gain > best_gain:
                     best_gain = gain
-                    best = _Candidate(j, "subset", subset=subset, seen=seen, gain=gain)
+                    best = Split(attr, j, "subset", subset=subset, seen=seen)
         else:
             gains, thresholds = _numeric_candidates(v, yv, sd_parent, min_instances)
             if gains.size:
                 k = int(np.argmax(gains))  # first max: lowest threshold wins ties
                 if gains[k] > best_gain:
                     best_gain = float(gains[k])
-                    best = _Candidate(j, "numeric", threshold=float(thresholds[k]),
-                                      gain=float(gains[k]))
+                    best = Split(attr, j, "numeric", threshold=float(thresholds[k]))
     return best
 
 
 # ---------------------------------------------------------------------------
 # growing
 
-def _split_indices(split: _Candidate | Split, X: np.ndarray,
+def _split_indices(split: Split, X: np.ndarray,
                    idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partition the rows idx into the left and right sides of a split."""
+    """Partition the rows idx into the left and right sides of a split.
+
+    A category code outside the split's ``seen`` codes follows the child
+    that holds more training rows (left on a tie). Only then are the
+    children read, so a split being grown has none yet: its rows are the
+    ones it saw.
+    """
     v = X[idx, split.attr_index]
     if split.kind == "numeric":
         mask = v <= split.threshold
     else:
         mask = np.isin(v, list(split.subset))
+        unseen = ~mask & ~np.isin(v, list(split.seen))
+        if unseen.any():
+            log.debug("routing %d unseen %s code(s) to the majority child",
+                      int(unseen.sum()), split.attribute)
+            if split.left.n >= split.right.n:
+                mask |= unseen
     return idx[mask], idx[~mask]
 
 
@@ -327,35 +306,14 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, attributes: Sequence[st
     # constant array is only zero up to rounding
     if n < 2 * min_instances or yv.min() == yv.max() or _sd(yv) <= sd_floor:
         return Leaf(mean, n)
-    cand = _best_split(X, y, idx, attributes, min_instances)
-    if cand is None:
+    split = _best_split(X, y, idx, attributes, min_instances)
+    if split is None:
         return Leaf(mean, n)
-    left_idx, right_idx = _split_indices(cand, X, idx)
-    return Split(
-        attribute=attributes[cand.attr_index],
-        attr_index=cand.attr_index,
-        kind=cand.kind,
-        threshold=cand.threshold,
-        subset=cand.subset,
-        seen=cand.seen,
-        left=_grow(X, y, left_idx, attributes, min_instances, sd_floor),
-        right=_grow(X, y, right_idx, attributes, min_instances, sd_floor),
-        n=n,
-        value=mean,
-    )
-
-
-def _route(node: Split, x: np.ndarray) -> Node:
-    v = x[node.attr_index]
-    if node.kind == "numeric":
-        return node.left if v <= node.threshold else node.right
-    if v in node.subset:
-        return node.left
-    if v in node.seen:
-        return node.right
-    # unseen category: follow the majority child
-    log.debug("routing unseen %s code %s to majority child", node.attribute, v)
-    return node.left if node.left.n >= node.right.n else node.right
+    left_idx, right_idx = _split_indices(split, X, idx)
+    split.left = _grow(X, y, left_idx, attributes, min_instances, sd_floor)
+    split.right = _grow(X, y, right_idx, attributes, min_instances, sd_floor)
+    split.n, split.value = n, mean
+    return split
 
 
 def count_leaves(node: Node) -> int:
@@ -500,9 +458,7 @@ def _fit_linear(D: np.ndarray, y: np.ndarray, idx: np.ndarray) -> tuple[LinearMo
 
 
 def _inflated(rmse: float, n: int, p: int) -> float:
-    if n - p <= 0:
-        return float("inf")
-    return rmse * (n + p) / (n - p)
+    return rmse * (n + p) / (n - p) if n > p else float("inf")
 
 
 def _m5_prune(node: Node, X: np.ndarray, D: np.ndarray, y: np.ndarray,
@@ -590,50 +546,67 @@ def _stamp_errors(model: TreeModel, train: Dataset, valid: Dataset | None,
 # prediction and evaluation
 
 def predict(model: TreeModel, fv: FeatureVector) -> float:
-    """Route the vector to a leaf and return its prediction, clamped at 0.
+    """The prediction for one vector, clamped at 0.
 
     The result is memoised on the model per calendar key; the key holds
-    every attribute the tree walk reads, so the memo is exact.
+    every attribute the tree walk reads, so the memo is exact. A miss
+    walks the one encoded row.
     """
     key = (fv.interval, fv.day_period, fv.day_type, fv.month, fv.season)
     value = model._predictions.get(key)
     if value is None:
-        value = model._predictions[key] = _walk(model, fv)
+        x = np.array([[encode_value(attr, fv) for attr in model.attributes]])
+        value = model._predictions[key] = float(_predict_encoded(model, x)[0])
     return value
 
 
-def _walk(model: TreeModel, fv: FeatureVector) -> float:
-    """The uncached prediction: route to a leaf, blend, clamp at 0."""
-    x = encode_row(fv, model.attributes)
-    path: list[Split] = []
-    node = model.root
-    while isinstance(node, Split):
-        path.append(node)
-        node = _route(node, x)
+def _predict_encoded(model: TreeModel, X: np.ndarray) -> np.ndarray:
+    """The one tree walk: the prediction of every row of X, which holds
+    one encoded column per model attribute.
 
-    if model.kind == "model_tree":
-        d = design_row(x, model.attributes)
-        raw = node.model.predict_design(d) if node.model is not None else node.value
-        if model.smoothing and path:
-            below: Node = node
-            for ancestor in reversed(path):
-                if ancestor.model is not None:
+    Rows are routed by ``_split_indices`` and empty branches are skipped.
+    A model-tree leaf applies its linear model column by column in
+    coefficient order; with smoothing, each ancestor's model is blended in
+    from the deepest up, weighted by the row count of the child on the
+    path. The result is clamped at 0 (``-0.0`` and NaN give 0.0).
+    """
+    linear = model.kind == "model_tree"
+    smooth = linear and model.smoothing
+    D = design_matrix(X, model.attributes) if linear else None
+    raw = np.empty(X.shape[0])
+
+    def fit(lm: LinearModel, idx: np.ndarray):
+        total = lm.intercept
+        for c, col in zip(lm.coef, D[idx].T):
+            total = total + c * col
+        return total
+
+    def walk(node: Node, idx: np.ndarray) -> None:
+        if isinstance(node, Leaf):
+            raw[idx] = fit(node.model, idx) if linear and node.model is not None else node.value
+            return
+        for child, part in zip((node.left, node.right), _split_indices(node, X, idx)):
+            if part.size:
+                walk(child, part)
+                if smooth and node.model is not None:
                     k = model.smoothing_k
-                    raw = (below.n * raw + k * ancestor.model.predict_design(d)) / (below.n + k)
-                below = ancestor
-    else:
-        raw = node.value
-    return max(0.0, raw)
+                    raw[part] = (child.n * raw[part] + k * fit(node.model, part)) / (child.n + k)
+
+    walk(model.root, np.arange(X.shape[0]))
+    return np.where(raw > 0.0, raw, 0.0)
 
 
 def _predict_dataset(model: TreeModel, ds: Dataset) -> np.ndarray:
-    """``predict`` of every row of a dataset, called once per calendar key."""
+    """The prediction of every row of a dataset, one walk per calendar key.
+
+    Rows are encoded by the model's attributes: a replay stream's dataset
+    may carry none.
+    """
     cal = ds.calendar()
     key = (((ds.interval * 2 + cal["day_period"]) * 2 + cal["day_type"]) * 13
            + cal["month"]) * 4 + cal["season"]
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    values = np.array([predict(model, fv) for fv in ds.vectors(first)])
-    return values[inverse]
+    return _predict_encoded(model, encode_matrix(ds.take(first), model.attributes))[inverse]
 
 
 def evaluate(model: TreeModel, valid: Dataset) -> dict:
@@ -651,15 +624,12 @@ def evaluate(model: TreeModel, valid: Dataset) -> dict:
 # serialization
 
 def _model_to_obj(m: LinearModel | None):
-    if m is None:
-        return None
-    return {"b": m.intercept, "w": list(m.coef)}
+    return None if m is None else {"b": m.intercept, "w": list(m.coef)}
 
 
 def _model_from_obj(obj) -> LinearModel | None:
-    if obj is None:
-        return None
-    return LinearModel(float(obj["b"]), tuple(float(w) for w in obj["w"]))
+    return None if obj is None else LinearModel(float(obj["b"]),
+                                                tuple(float(w) for w in obj["w"]))
 
 
 def _node_to_obj(node: Node):

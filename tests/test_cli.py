@@ -10,10 +10,11 @@ import pytest
 
 from gridwatch import cli
 from gridwatch.cli import _write_alerts, main
-from gridwatch.detect import AlertEvent
+from gridwatch.detect import DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent
 from gridwatch.ingest import read_dataset_csv, split_train_validation, write_dataset_csv
 from gridwatch.manifest import read_manifest, verify_manifest, write_json, write_manifest
 from gridwatch.synth import SynthProfile, synth_raw_lines
+from gridwatch.trees import TreeParams
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,42 @@ def test_detect_refuses_mismatched_stream(corpora, trained, tmp_path, capsys, st
     assert main(["detect", "--models", str(trained / "models"), *args,
                  "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--nbr-incr", "4"], "nbr_incr"),
+    (["--nbr-incr", "-1"], "nbr_incr"),
+    (["--n-window", "0"], "n_window"),
+    (["--counter-mode", "lifetime", "--nbr-incr", "-1"], "nbr_incr"),
+])
+def test_detect_rejects_counter_flags_that_never_alert(corpora, trained, tmp_path, capsys,
+                                                       flags, key):
+    out = tmp_path / "o"
+    assert main(["detect", "--models", str(trained / "models"),
+                 "--corpus", str(corpora / "corpus_sh.csv"), "--out", str(out), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--min-instances", "0"], "min_instances"),
+    (["--prune-fraction", "1.5"], "prune_fraction"),
+    (["--prune-fraction", "0"], "prune_fraction"),
+])
+def test_train_rejects_bad_tree_flags(ingested, tmp_path, capsys, flags, key):
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(ingested), "--out", str(out), *flags]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    detect = parser.parse_args(["detect", "--models", "m", "--out", "o"])
+    assert (detect.nbr_incr, detect.n_window) == (DEFAULT_NBR_INCR, DEFAULT_N_WINDOW)
+    train = parser.parse_args(["train", "--data", "d", "--out", "o"])
+    assert (train.min_instances, train.prune_fraction) == \
+        (TreeParams().min_instances, TreeParams().prune_fraction)
 
 
 def test_cli_chain_reproduces_simulate(corpora, trained, tmp_path):
@@ -374,6 +411,16 @@ def test_simulate_bad_config_is_user_error(tmp_path):
     ({"mix": {"t1": -0.5}}, "t1"),
     ({"jobs": 0}, "jobs"),
     ({"include_day_period": True}, "include_day_period"),
+    ({"counter_mode": "bogus"}, "counter_mode"),
+    ({"factors": {"t1": [3, 1]}}, "factors"),
+    ({"factors": {"t9": [1, 2]}}, "factors"),
+    ({"peak_windows": [[25, 30]]}, "peak_windows"),
+    ({"seed": -1}, "seed"),
+    ({"min_instances": 0}, "min_instances"),
+    ({"prune_fraction": 1.5}, "prune_fraction"),
+    ({"n_window": 0}, "n_window"),
+    ({"nbr_incr": 4}, "nbr_incr"),
+    ({"nbr_incr": -1}, "nbr_incr"),
 ])
 def test_simulate_rejects_config_naming_key(tmp_path, capsys, extra, key):
     config_path = tmp_path / "cfg.json"
@@ -381,6 +428,14 @@ def test_simulate_rejects_config_naming_key(tmp_path, capsys, extra, key):
     assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(config_path) in err and key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "ingest"])
+def test_seed_flag_below_zero_is_user_error(raw_file, tmp_path, capsys, command):
+    inputs = [str(raw_file), "--split"] if command == "ingest" else []
+    assert main([command, *inputs, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

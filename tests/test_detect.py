@@ -32,6 +32,23 @@ def slot_fv(step, consumption):
     return feature_vector(date, step % 48 + 1, "slot", consumption)
 
 
+@pytest.mark.parametrize("settings, key", [
+    ({"n_window": 0}, "n_window"),
+    ({"nbr_incr": DEFAULT_N_WINDOW}, "nbr_incr"),   # a window never counts more flags
+    ({"nbr_incr": -1}, "nbr_incr"),
+    ({"nbr_incr": -1, "mode": "lifetime"}, "nbr_incr"),
+    ({"mode": "bogus"}, "counter_mode"),
+])
+def test_sh_state_rejects_settings_that_never_alert_or_never_count(settings, key):
+    with pytest.raises(ValueError, match=key):
+        ShDetectorState(1, leaf_model(), **settings)
+
+
+def test_lifetime_counter_takes_no_window_bound():
+    state = ShDetectorState(1, leaf_model(), nbr_incr=10, n_window=4, mode="lifetime")
+    assert state.nbr_incr == 10
+
+
 def drive(flags, nbr_incr=2, n_window=4, mode="windowed"):
     """Feed a boolean exceed sequence through sh_step; returns alert steps."""
     state = ShDetectorState(1, leaf_model(0.0, pe=0.5), nbr_incr=nbr_incr,

@@ -7,7 +7,7 @@ import pytest
 from gridwatch.errors import ContractViolation, RangeError, SplitError
 from gridwatch.ingest import (EPOCH, Dataset, FeatureVector, MeterReading,
                               build_nbh_dataset, build_sh_dataset, clean_dataset,
-                              decode_timestamp, derive_features, encode_timestamp,
+                              decode_timestamp, encode_timestamp,
                               feature_vector, parse_raw, read_dataset_csv,
                               split_train_validation, write_dataset_csv)
 
@@ -105,20 +105,26 @@ def test_parse_reports_bad_lines_with_numbers():
 # ---------------------------------------------------------------------------
 # attribute derivation
 
+def derived(date, interval, kind="hour"):
+    """(day_period, day_type, month, season) of a date and interval."""
+    fv = feature_vector(date, interval, kind, 0.0)
+    return fv.day_period, fv.day_type, fv.month, fv.season
+
+
 def test_features_summer_weekday_daytime():
     # 2009-07-14 was a Tuesday; hour 17 covers 16:00-16:59
-    day_period, day_type, month, season = derive_features(dt.date(2009, 7, 14), 17)
+    day_period, day_type, month, season = derived(dt.date(2009, 7, 14), 17)
     assert (day_period, day_type, month, season) == ("day", "weekday", 7, "summer")
 
 
 def test_features_winter_weekend_night():
     # 2009-01-03 was a Saturday; hour 2 covers 01:00-01:59
-    day_period, day_type, month, season = derive_features(dt.date(2009, 1, 3), 2)
+    day_period, day_type, month, season = derived(dt.date(2009, 1, 3), 2)
     assert (day_period, day_type, month, season) == ("night", "weekend", 1, "winter")
 
 
 def test_december_is_winter():
-    *_, season = derive_features(dt.date(2009, 12, 1), 12)
+    *_, season = derived(dt.date(2009, 12, 1), 12)
     assert season == "winter"
 
 
@@ -127,18 +133,18 @@ def test_season_is_pure_function_of_month():
                 5: "spring", 6: "summer", 7: "summer", 8: "summer", 9: "autumn",
                 10: "autumn", 11: "autumn"}
     for month, season in expected.items():
-        assert derive_features(dt.date(2009, month, 10), 5)[3] == season
+        assert derived(dt.date(2009, month, 10), 5)[3] == season
 
 
 def test_day_period_boundaries():
     d = dt.date(2009, 6, 1)
     # hour index h covers wall clock h-1; day is clock 7..22 inclusive
-    assert derive_features(d, 7)[0] == "night"   # 06:00
-    assert derive_features(d, 8)[0] == "day"     # 07:00
-    assert derive_features(d, 23)[0] == "day"    # 22:00
-    assert derive_features(d, 24)[0] == "night"  # 23:00
-    assert derive_features(d, 15, kind="slot")[0] == "day"    # slot 15 starts 07:00
-    assert derive_features(d, 14, kind="slot")[0] == "night"  # slot 14 starts 06:30
+    assert derived(d, 7)[0] == "night"   # 06:00
+    assert derived(d, 8)[0] == "day"     # 07:00
+    assert derived(d, 23)[0] == "day"    # 22:00
+    assert derived(d, 24)[0] == "night"  # 23:00
+    assert derived(d, 15, kind="slot")[0] == "day"    # slot 15 starts 07:00
+    assert derived(d, 14, kind="slot")[0] == "night"  # slot 14 starts 06:30
 
 
 # ---------------------------------------------------------------------------

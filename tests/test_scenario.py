@@ -279,6 +279,26 @@ def test_scenario_config_rejects_bad_mix_and_jobs(change):
         dataclasses.replace(SMALL, **change)
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"counter_mode": "bogus"}, "counter_mode"),
+    ({"factors": {"t1": (3.0, 1.0)}}, "factors"),
+    ({"factors": {"t2": (0.0, 1.0)}}, "factors"),
+    ({"factors": {"t9": (1.0, 2.0)}}, "factors"),
+    ({"peak_windows": ((25, 30),)}, "peak_windows"),
+    ({"min_off_time": 0}, "min_off_time"),
+    ({"seed": -1}, "seed"),
+    ({"min_instances": 0}, "min_instances"),
+    ({"prune_fraction": 1.5}, "prune_fraction"),
+    ({"n_window": 0}, "n_window"),
+    ({"nbr_incr": 4}, "nbr_incr"),
+    ({"nbr_incr": -1}, "nbr_incr"),
+    ({"nbr_incr": -1, "counter_mode": "lifetime"}, "nbr_incr"),
+])
+def test_scenario_config_checks_every_knob_when_built(change, key):
+    with pytest.raises(ValueError, match=key):
+        dataclasses.replace(SMALL, **change)
+
+
 def test_summary_rows_shape(small_result):
     rows = summary_rows(small_result.report)
     assert rows[0] == ["level", "attack_type", "rmse", "rmse_a",

@@ -6,17 +6,80 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwatch.errors import ContractViolation, ModelDecodeError, TrainingError
 from gridwatch.ingest import (NBH_ATTRIBUTES, SEASONS, SH_ATTRIBUTES, Dataset,
                               FeatureVector, feature_vector, season_of_month)
-from gridwatch.trees import (Leaf, LinearModel, Split, TreeModel, TreeParams,
-                             _best_split, _grow, _walk, count_leaves, deserialize,
-                             encode_matrix, encode_row, encode_value, evaluate, predict,
+from gridwatch.trees import (CATEGORICAL_ATTRIBUTES, Leaf, LinearModel, Split, TreeModel,
+                             TreeParams, _best_split, _grow, _predict_dataset,
+                             _predict_encoded, _split_indices, count_leaves, deserialize,
+                             design_columns, encode_matrix, encode_value, evaluate, predict,
                              sd_reduction, serialize, to_text,
                              train_model_tree, train_rep_tree, tree_depth)
 
 ATTRS = SH_ATTRIBUTES
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-row walk, node by node, that the columnar walk replaced
+
+def encode_row(fv, attributes):
+    return np.array([encode_value(attr, fv) for attr in attributes])
+
+
+def reference_path(model, x):
+    """The nodes that one encoded row passes, from the root to its leaf."""
+    path = [model.root]
+    while isinstance(node := path[-1], Split):
+        v = x[node.attr_index]
+        if node.kind == "numeric":
+            path.append(node.left if v <= node.threshold else node.right)
+        elif v in node.subset:
+            path.append(node.left)
+        elif v in node.seen:
+            path.append(node.right)
+        else:   # unseen category: the child that held more training rows
+            path.append(node.left if node.left.n >= node.right.n else node.right)
+    return path
+
+
+def reference_walk(model, x):
+    """Route one encoded row to a leaf, blend along the path, clamp at 0."""
+    *path, node = reference_path(model, x)
+    if model.kind != "model_tree":
+        return max(0.0, node.value)
+    d = []
+    for j, attr in enumerate(model.attributes):
+        if attr == "season":
+            d.extend(1.0 if x[j] == code else 0.0 for code in range(len(SEASONS)))
+        else:
+            d.append(float(x[j]))
+
+    def linear(lm):
+        total = lm.intercept
+        for c, v in zip(lm.coef, d):
+            total += c * v
+        return total
+
+    raw = linear(node.model) if node.model is not None else node.value
+    if model.smoothing:
+        below = node
+        for ancestor in reversed(path):
+            if ancestor.model is not None:
+                k = model.smoothing_k
+                raw = (below.n * raw + k * linear(ancestor.model)) / (below.n + k)
+            below = ancestor
+    return max(0.0, raw)
+
+
+def reference_predict(model, fv):
+    return reference_walk(model, encode_row(fv, model.attributes))
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
 
 
 def random_rows(rng, n):
@@ -179,18 +242,6 @@ def test_rep_tree_perfect_binary_attribute():
     assert predict(model, rows[2]) == pytest.approx(3.0)
 
 
-def _route_to_leaf(model, fv):
-    x = encode_row(fv, model.attributes)
-    node = model.root
-    while isinstance(node, Split):
-        v = x[node.attr_index]
-        if node.kind == "numeric":
-            node = node.left if v <= node.threshold else node.right
-        else:
-            node = node.left if v in node.subset else node.right
-    return node
-
-
 def test_rep_tree_leaf_means_are_exact():
     # prune_fraction small enough that the holdout is empty: the grow set is
     # the whole training set, so every leaf must predict the mean of the
@@ -201,7 +252,7 @@ def test_rep_tree_leaf_means_are_exact():
 
     leaf_targets: dict[int, tuple[float, list[float]]] = {}
     for fv in rows:
-        node = _route_to_leaf(model, fv)
+        node = reference_path(model, encode_row(fv, model.attributes))[-1]
         leaf_targets.setdefault(id(node), (node.value, []))[1].append(fv.consumption)
     assert len(leaf_targets) == count_leaves(model.root)
     for value, targets in leaf_targets.values():
@@ -482,7 +533,8 @@ def test_cache_models_split_and_smooth(cache_models):
         assert isinstance(model.root, Split), name
         if model.smoothing:
             plain = dataclasses.replace(model, smoothing=False)
-            assert any(_walk(model, fv) != _walk(plain, fv) for fv in _every_calendar_key(kind))
+            assert any(reference_predict(model, fv) != reference_predict(plain, fv)
+                       for fv in _every_calendar_key(kind))
 
 
 @pytest.mark.parametrize("name", CACHE_MODELS)
@@ -491,10 +543,11 @@ def test_cached_predict_equals_uncached_walk(cache_models, name):
     vectors = _every_calendar_key(kind)
     blob = serialize(model)
     for fv in vectors:
-        assert predict(model, fv) == _walk(model, fv)   # training warmed some keys
+        assert bits(predict(model, fv)) == bits(reference_predict(model, fv))
     assert len(model._predictions) == len(vectors)
     for fv in reversed(vectors):
-        assert predict(model, dataclasses.replace(fv, consumption=9.0)) == _walk(model, fv)
+        assert bits(predict(model, dataclasses.replace(fv, consumption=9.0))) \
+            == bits(reference_predict(model, fv))
     assert len(model._predictions) == len(vectors)
     assert serialize(model) == blob
 
@@ -502,9 +555,90 @@ def test_cached_predict_equals_uncached_walk(cache_models, name):
     assert back._predictions == {}
     pickled = pickle.loads(pickle.dumps(model))
     for fv in vectors:
-        expected = _walk(model, fv)
-        assert predict(back, fv) == expected
-        assert predict(pickled, fv) == expected
+        expected = bits(reference_predict(model, fv))
+        assert bits(predict(back, fv)) == expected
+        assert bits(predict(pickled, fv)) == expected
+
+
+@pytest.mark.parametrize("name", CACHE_MODELS)
+def test_predict_dataset_equals_reference_on_every_row(cache_models, name):
+    # a replay stream carries no attributes: rows are encoded by the model's;
+    # the batch walk neither reads nor fills the per-vector memo
+    model, kind = cache_models[name]
+    model = deserialize(serialize(model))
+    level = "SH" if kind == "hour" else "NBH"
+    rows = _patterned_rows(kind, 400, seed=11)
+    stream = Dataset.from_rows(level, 1 if level == "SH" else None, rows, ())
+    got = _predict_dataset(model, stream)
+    assert [bits(v) for v in got] == [bits(reference_predict(model, fv)) for fv in rows]
+    assert model._predictions == {}
+
+
+def test_split_indices_sends_unseen_codes_to_the_majority_child():
+    X = np.array([[0.0], [1.0], [2.0], [3.0], [0.0]])
+    split = Split("season", 0, "subset", subset=frozenset({0.0}), seen=frozenset({0.0, 1.0}),
+                  left=Leaf(1.0, 30), right=Leaf(2.0, 10))
+    left, right = _split_indices(split, X, np.arange(5))
+    assert (left.tolist(), right.tolist()) == ([0, 2, 3, 4], [1])
+    split.left, split.right = Leaf(1.0, 10), Leaf(2.0, 30)
+    left, right = _split_indices(split, X, np.arange(5))
+    assert (left.tolist(), right.tolist()) == ([0, 4], [1, 2, 3])
+    split.left = Leaf(1.0, 30)       # a tie goes left
+    left, right = _split_indices(split, X, np.array([3, 1]))
+    assert (left.tolist(), right.tolist()) == ([3], [1])
+
+
+# ---------------------------------------------------------------------------
+# the columnar walk against the reference, on random trees
+
+# negative raw values, -0.0 and NaN on purpose: each must clamp as max(0.0, raw)
+VALUES = st.floats(-3.0, 3.0) | st.sampled_from([-0.0, float("nan")])
+TOPS = {"interval": 48, "day_period": 1, "day_type": 1, "month": 12, "season": 3}
+
+
+@st.composite
+def random_models(draw):
+    """Random trees over one attribute set: numeric and subset splits whose
+    seen codes leave some season codes unseen, mean or linear leaves,
+    interior models for smoothing, and row counts that tie."""
+    attributes = draw(st.sampled_from([SH_ATTRIBUTES, NBH_ATTRIBUTES]))
+    kind = draw(st.sampled_from(["rep_tree", "model_tree"]))
+    width = len(design_columns(attributes))
+    models = st.builds(LinearModel, VALUES, st.tuples(*[VALUES] * width))
+
+    def linear():
+        return draw(st.none() | models) if kind == "model_tree" else None
+
+    def node(depth):
+        n = draw(st.integers(1, 6))
+        if depth == 0 or draw(st.booleans()):
+            return Leaf(draw(VALUES), n, model=linear())
+        j = draw(st.integers(0, len(attributes) - 1))
+        attr = attributes[j]
+        if attr in CATEGORICAL_ATTRIBUTES:
+            seen = sorted(draw(st.sets(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=2)))
+            subset = draw(st.sets(st.sampled_from(seen), min_size=1, max_size=len(seen) - 1))
+            split = Split(attr, j, "subset", subset=frozenset(subset), seen=frozenset(seen))
+        else:
+            threshold = draw(st.integers(-1, 2 * TOPS[attr] + 1)) / 2
+            split = Split(attr, j, "numeric", threshold=threshold)
+        split.left, split.right = node(depth - 1), node(depth - 1)
+        split.n, split.value, split.model = n, draw(VALUES), linear()
+        return split
+
+    return TreeModel(kind, node(draw(st.integers(0, 5))), tuple(attributes),
+                     smoothing=draw(st.booleans()),
+                     smoothing_k=draw(st.sampled_from([15.0, 0.5, 3.0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_models(), st.data())
+def test_columnar_walk_equals_reference_bit_for_bit(model, data):
+    row = st.tuples(*[st.integers(0 if attr != "interval" else 1, TOPS[attr])
+                      for attr in model.attributes])
+    X = np.array(data.draw(st.lists(row, min_size=1, max_size=30)), dtype=float)
+    got = _predict_encoded(model, X)
+    assert [bits(v) for v in got] == [bits(reference_walk(model, x)) for x in X]
 
 
 def test_prediction_cache_is_per_model():
