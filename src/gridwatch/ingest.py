@@ -238,6 +238,14 @@ class Dataset:
         return {"day_period": self._day_periods(), "day_type": per_row[:, 0],
                 "month": per_row[:, 1], "season": per_row[:, 2]}
 
+    def calendar_key(self) -> np.ndarray:
+        """Per row, one integer code of its calendar key (interval, day
+        period, day type, month, season); codes increase with the interval
+        first. Rows with equal codes have equal calendar attributes."""
+        cal = self.calendar()
+        return ((((self.interval * 2 + cal["day_period"]) * 2 + cal["day_type"]) * 13
+                 + cal["month"]) * 4 + cal["season"])
+
     @property
     def rows(self) -> list[FeatureVector]:
         """Every row as a feature vector (built on each access)."""

@@ -81,10 +81,21 @@ class ScenarioConfig:
             raise ValueError(f"jobs must be >= 1, not {self.jobs!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed!r}")
-        for key in self.factors:
+        if not isinstance(self.factors, dict):
+            raise ValueError(f"factors {self.factors!r}: expected {{type: [low, high]}}")
+        for key, bounds in self.factors.items():
             if key not in atk.ATTACK_TYPES:
                 raise ValueError(f"factors key {key!r} is not one of "
                                  f"{', '.join(atk.ATTACK_TYPES)}")
+            if not _is_pair(bounds):
+                raise ValueError(f"factors of {key} {bounds!r}: expected [low, high]")
+        if not isinstance(self.peak_windows, (list, tuple)):
+            raise ValueError(f"peak_windows {self.peak_windows!r}: expected a list of [start, end]")
+        for window in self.peak_windows:
+            if not _is_pair(window):
+                raise ValueError(f"peak_windows entry {window!r}: expected [start, end]")
+        self.factors = {key: tuple(bounds) for key, bounds in self.factors.items()}
+        self.peak_windows = tuple(tuple(window) for window in self.peak_windows)
         check_counter(self.nbr_incr, self.n_window, self.counter_mode)
         self.tree_params().validate()
         self.attack_specs()
@@ -118,11 +129,11 @@ class ScenarioConfig:
         obj = dict(obj)
         if "profile" in obj:
             obj["profile"] = SynthProfile(**obj["profile"])
-        if "peak_windows" in obj:
-            obj["peak_windows"] = tuple(tuple(w) for w in obj["peak_windows"])
-        if "factors" in obj:
-            obj["factors"] = {k: tuple(v) for k, v in obj["factors"].items()}
         return ScenarioConfig(**obj)
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, (list, tuple)) and len(entry) == 2
 
 
 @dataclasses.dataclass

@@ -5,38 +5,39 @@ maximizing the standard-deviation reduction
 
     SD(S) - sum_i (|D_i| / |D|) * SD(D_i)
 
-over all candidate (attribute, threshold/subset) pairs, with ties broken by
-attribute declaration order and then lowest threshold:
+over all candidate (attribute, threshold/subset) pairs; gains within 1e-9
+of SD(S) tie, and ties go to attribute declaration order, then the lowest
+threshold:
 
-* ``rep_tree``: constant (mean) leaves. The tree is grown on a seeded
-  internal grow set and reduced-error-pruned bottom-up against the held-out
-  remainder: a subtree collapses to a leaf whenever the leaf's holdout
-  squared error is no larger than the subtree's, so holdout RMSE never
-  increases during pruning.
-* ``model_tree``: least-squares linear models at the leaves over
-  numerically encoded attributes (binary 0/1, month and hour/slot as
-  integers, season one-hot). Pruning compares small-sample-inflated error
-  estimates, rmse * (n + p) / (n - p), of a node's own linear model against
-  its subtree; optional smoothing blends the leaf prediction with ancestor
-  models along the root path at prediction time.
+* ``rep_tree``: mean leaves, grown on a seeded internal grow set and
+  reduced-error-pruned bottom-up against the held-out rows: a subtree
+  collapses whenever a leaf's holdout squared error is no larger, so
+  holdout RMSE never increases during pruning.
+* ``model_tree``: least-squares linear leaves over numerically encoded
+  attributes (binary 0/1, month and hour/slot as integers, season one-hot),
+  pruned by small-sample-inflated error, rmse * (n + p) / (n - p), of a
+  node's own model against its subtree; optional smoothing blends in the
+  ancestor models along the root path at prediction time.
 
-Every prediction is one tree walk, ``_predict_encoded``: it takes rows
-of encoded calendar attributes as columns, routes them with
-``_split_indices``, the split rule that growing and pruning use, applies
-the leaf models (and smoothing) column by column, and clamps at 0. A
-category code that a split never saw at induction follows the child that
-held more training rows. ``_predict_dataset`` and ``evaluate`` walk each
-distinct calendar key of a dataset once.
+Training reads a key table, not rows: rows with the same calendar key
+(``Dataset.calendar_key``) share their encoded attributes and design row,
+so a training set is summed once per key (n, sum y, sum y^2, min, max and
+within-key scatter). Trees grow level by level; a candidate's side SDs are
+two-pass sums over its keys in key order, so candidates that part a node
+alike gain alike to the bit. M5 fits solve all nodes from summed Gram
+matrices with one batched ``eigh`` pseudo-inverse. Only summation order
+differs from row-by-row learning: means and predictions move in the last
+bits.
 
-A prediction depends only on a vector's calendar attributes (interval,
-day period, day type, month, season), never on its consumption, so the
-per-observation ``predict`` memoises its walks per calendar key. The memo
-lives on the model instance: it is bounded by the number of distinct keys
-(at most 48 x 2 x 2 x 12 x 4), is never serialized, and starts empty after
-``deserialize``. It is exact under one rule: a model is not mutated after
-its first ``predict``. Nothing in this package mutates a model once
-training has returned it. Concurrent ``predict`` calls on one model are
-safe: two threads that miss on the same key store the same value.
+Every prediction is one tree walk, ``_predict_encoded``: it routes rows of
+encoded calendar attributes, as columns, with ``_split_indices`` (a code
+a split never saw follows the child that held more training rows), applies
+the leaf models and smoothing column by column, and clamps at 0.
+``_predict_dataset`` and ``evaluate`` walk each distinct key once. The
+per-observation ``predict`` memoises its walks per calendar key on the
+model: never serialized, empty after ``deserialize``, and exact as long as
+a model is not mutated after its first ``predict`` (nothing here does so;
+two threads that miss on one key store the same value).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ CATEGORICAL_ATTRIBUTES = frozenset({"season"})
 _CATEGORIES = {"day_period": DAY_PERIODS, "day_type": DAY_TYPES, "season": SEASONS}
 
 _EPS_GAIN = 1e-12
+_TIE = 1e-9          # gains this close, relative to the node's SD, tie
 SMOOTHING_K = 15.0   # M5 smoothing constant: weight of the ancestor model's prediction
 
 
@@ -176,12 +178,16 @@ def design_matrix(encoded: np.ndarray, attributes: Sequence[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # split criterion
 
+def _sd_of(n, s, q):
+    """Population SD from the row count, sum and sum of squares, guarded
+    against negative rounding (0 when empty)."""
+    n = np.maximum(n, 1.0)
+    m = s / n
+    return np.sqrt(np.maximum(q / n - m * m, 0.0))
+
+
 def _sd(y: np.ndarray) -> float:
-    """Population standard deviation, guarded against negative rounding."""
-    if y.size == 0:
-        return 0.0
-    m = y.mean()
-    return float(np.sqrt(max((y * y).mean() - m * m, 0.0)))
+    return float(_sd_of(y.size, y.sum(), (y * y).sum()))
 
 
 def sd_reduction(parent: Sequence[float], children: Sequence[Sequence[float]]) -> float:
@@ -199,78 +205,6 @@ def sd_reduction(parent: Sequence[float], children: Sequence[Sequence[float]]) -
     return total
 
 
-def _numeric_candidates(v: np.ndarray, y: np.ndarray, sd_parent: float,
-                        min_instances: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gains and thresholds, in increasing threshold order, for one attribute."""
-    order = np.argsort(v, kind="stable")
-    vs = v[order]
-    ys = y[order]
-    n = vs.size
-    cut = np.nonzero(vs[:-1] != vs[1:])[0] + 1  # left sizes at value boundaries
-    if cut.size:
-        cut = cut[(cut >= min_instances) & (n - cut >= min_instances)]
-    if not cut.size:
-        return np.empty(0), np.empty(0)
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
-    nl = cut.astype(float)
-    nr = n - nl
-    mean_l = csum[cut - 1] / nl
-    mean_r = (csum[-1] - csum[cut - 1]) / nr
-    sd_l = np.sqrt(np.maximum(csq[cut - 1] / nl - mean_l ** 2, 0.0))
-    sd_r = np.sqrt(np.maximum((csq[-1] - csq[cut - 1]) / nr - mean_r ** 2, 0.0))
-    gains = sd_parent - (nl / n) * sd_l - (nr / n) * sd_r
-    thresholds = (vs[cut - 1] + vs[cut]) / 2.0
-    return gains, thresholds
-
-
-def _subset_candidates(values: np.ndarray) -> list[frozenset]:
-    """Proper bipartitions of the observed category codes, deduplicated by
-    always keeping the lowest code on the left."""
-    distinct = sorted(set(values.tolist()))
-    if len(distinct) < 2:
-        return []
-    first, rest = distinct[0], distinct[1:]
-    subsets: list[frozenset] = []
-    for mask in range(2 ** len(rest)):
-        left = {first} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
-        if len(left) < len(distinct):
-            subsets.append(frozenset(left))
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    return subsets
-
-
-def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                attributes: Sequence[str], min_instances: int) -> Split | None:
-    """The best split of the rows idx, without children, or None."""
-    yv = y[idx]
-    sd_parent = _sd(yv)
-    best: Split | None = None
-    best_gain = _EPS_GAIN
-    for j, attr in enumerate(attributes):
-        v = X[idx, j]
-        if attr in CATEGORICAL_ATTRIBUTES:
-            seen = frozenset(set(v.tolist()))
-            n = v.size
-            for subset in _subset_candidates(v):
-                mask = np.isin(v, list(subset))
-                nl = int(mask.sum())
-                if nl < min_instances or n - nl < min_instances:
-                    continue
-                gain = sd_parent - (nl / n) * _sd(yv[mask]) - ((n - nl) / n) * _sd(yv[~mask])
-                if gain > best_gain:
-                    best_gain = gain
-                    best = Split(attr, j, "subset", subset=subset, seen=seen)
-        else:
-            gains, thresholds = _numeric_candidates(v, yv, sd_parent, min_instances)
-            if gains.size:
-                k = int(np.argmax(gains))  # first max: lowest threshold wins ties
-                if gains[k] > best_gain:
-                    best_gain = float(gains[k])
-                    best = Split(attr, j, "numeric", threshold=float(thresholds[k]))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # growing
 
@@ -279,9 +213,7 @@ def _split_indices(split: Split, X: np.ndarray,
     """Partition the rows idx into the left and right sides of a split.
 
     A category code outside the split's ``seen`` codes follows the child
-    that holds more training rows (left on a tie). Only then are the
-    children read, so a split being grown has none yet: its rows are the
-    ones it saw.
+    that holds more training rows (left on a tie).
     """
     v = X[idx, split.attr_index]
     if split.kind == "numeric":
@@ -297,23 +229,144 @@ def _split_indices(split: Split, X: np.ndarray,
     return idx[mask], idx[~mask]
 
 
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, attributes: Sequence[str],
-          min_instances: int, sd_floor: float) -> Node:
-    n = idx.size
-    yv = y[idx]
-    mean = float(yv.mean())
-    # min == max is the robust constant-target stop; one-pass SD of a
-    # constant array is only zero up to rounding
-    if n < 2 * min_instances or yv.min() == yv.max() or _sd(yv) <= sd_floor:
-        return Leaf(mean, n)
-    split = _best_split(X, y, idx, attributes, min_instances)
-    if split is None:
-        return Leaf(mean, n)
-    left_idx, right_idx = _split_indices(split, X, idx)
-    split.left = _grow(X, y, left_idx, attributes, min_instances, sd_floor)
-    split.right = _grow(X, y, right_idx, attributes, min_instances, sd_floor)
-    split.n, split.value = n, mean
-    return split
+# season subsets as code bit sets, in the order split search tries them
+_SUBSETS = np.array(sorted(range(1, 2 ** len(SEASONS)), key=lambda bits: (
+    bin(bits).count("1"), [c for c in range(len(SEASONS)) if bits >> c & 1])))
+
+
+def _codes(bits: int) -> frozenset:   # the season codes of a bit set
+    return frozenset(float(c) for c in range(len(SEASONS)) if bits >> c & 1)
+
+
+@dataclasses.dataclass
+class _KeyTable:
+    """A training set summed per distinct calendar key, in key code order."""
+
+    codes: np.ndarray    # (keys, attributes) encoded attributes
+    index: np.ndarray    # as ints: a season code, else the index into values
+    values: list         # per attribute, its sorted distinct codes
+    sums: np.ndarray     # (keys, 3): rows, sum y, sum y^2
+    lo: np.ndarray       # min y
+    hi: np.ndarray       # max y
+    scatter: np.ndarray  # sum (y - key mean)^2
+
+
+def _key_table(ds: Dataset) -> _KeyTable:
+    _, first, inverse = np.unique(ds.calendar_key(), return_index=True, return_inverse=True)
+    y, n, s = ds.kwh, np.bincount(inverse), np.bincount(inverse, ds.kwh)
+    ys, starts = y[np.argsort(inverse, kind="stable")], np.cumsum(n) - n
+    codes = encode_matrix(ds.take(first))
+    values = [np.unique(col) for col in codes.T]
+    index = np.column_stack([col.astype(np.int64) if attr in CATEGORICAL_ATTRIBUTES
+                             else np.searchsorted(vals, col)
+                             for attr, col, vals in zip(ds.attributes, codes.T, values)])
+    return _KeyTable(codes, index, values, np.column_stack([n, s, np.bincount(inverse, y * y)]),
+                     np.minimum.reduceat(ys, starts), np.maximum.reduceat(ys, starts),
+                     np.bincount(inverse, (y - (s / n)[inverse]) ** 2))
+
+
+def _gains(left: np.ndarray, table: _KeyTable, keys: np.ndarray, loc: np.ndarray,
+           starts: np.ndarray, sd_parent: np.ndarray,
+           min_instances: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gain of candidate c at node m, and its left row count, where key
+    ``keys[i]`` of node ``loc[i]`` takes side ``left[i, c]``. A side's SD is
+    two-pass (its mean, then its keys' scatter and spread about it), so a
+    constant side has SD 0, not the rounding of sum y^2 - n mean^2. A side
+    under ``min_instances`` rows gains -inf."""
+    c, both = left.shape[1], np.hstack([left, ~left])
+    n_k, s_k = table.sums[keys, 0], table.sums[keys, 1]
+    count, s = (np.add.reduceat(col[:, None] * both, starts) for col in (n_k, s_k))
+    count1 = np.maximum(count, 1.0)
+    mean_k = (s_k / n_k)[:, None]
+    spread_k = table.scatter[keys, None] + n_k[:, None] * (mean_k - (s / count1)[loc]) ** 2
+    sd = np.sqrt(np.add.reduceat(both * spread_k, starts) / count1)
+    n = count[:, :c] + count[:, c:]
+    spread = (count[:, :c] / n) * sd[:, :c] + (count[:, c:] / n) * sd[:, c:]
+    enough = np.minimum(count[:, :c], count[:, c:]) >= min_instances
+    return np.where(enough, sd_parent[:, None] - spread, -np.inf), count[:, :c]
+
+
+def _best_splits(table: _KeyTable, keys: np.ndarray, loc: np.ndarray,
+                 attributes: Sequence[str], min_instances: int):
+    """The best childless split (or None) of each node, the keys being
+    grouped by node (``loc``), and whether each key goes left. A split leaves
+    ``min_instances`` rows a side and gains more than ``_EPS_GAIN``; gains
+    within ``_TIE`` times the node's SD of the best tie, and the attribute
+    declared first wins, then the lowest threshold or the first subset in
+    ``_SUBSETS`` order of the node's seen codes that holds the lowest one."""
+    _, starts, loc = np.unique(loc, return_index=True, return_inverse=True)
+    sd = _sd_of(*np.add.reduceat(table.sums[keys], starts).T)
+    nodes = np.arange(starts.size)
+    found = []
+    for j, attr in enumerate(attributes):
+        code, values = table.index[keys, j], table.values[j]
+        if attr in CATEGORICAL_ATTRIBUTES:
+            seen = np.bitwise_or.reduceat(1 << code, starts)
+            ok = ((_SUBSETS & ~seen[:, None]) == 0) & ((_SUBSETS & (seen & -seen)[:, None]) > 0)
+            left = (_SUBSETS >> code[:, None]) & 1 == 1
+        else:
+            seen, left = None, code[:, None] <= np.arange(values.size)
+        gains, nl = _gains(left, table, keys, loc, starts, sd, min_instances)
+        if seen is None:
+            ok = nl > np.hstack([np.zeros((nodes.size, 1)), nl[:, :-1]])   # a value it holds
+        found.append((j, attr, values, seen, ok, left, np.where(ok, gains, -np.inf)))
+    top = np.max([gains.max(axis=1) for *_, gains in found], axis=0)
+    bar = np.where(top > _EPS_GAIN, np.maximum(top - _TIE * sd, _EPS_GAIN), np.inf)
+    pick, goes_left = {}, np.zeros(keys.size, dtype=bool)
+    for j, attr, values, seen, ok, left, gains in found:
+        tied = gains >= bar[:, None]
+        k, new = tied.argmax(axis=1), tied.any(axis=1)
+        bar[new] = np.inf   # taken
+        moved = new[loc]
+        goes_left[moved] = left[moved, k[loc[moved]]]
+        for m in np.flatnonzero(new).tolist():
+            if seen is not None:
+                pick[m] = Split(attr, j, "subset", subset=_codes(_SUBSETS[k[m]]),
+                                seen=_codes(seen[m]))
+            else:   # halfway to the next value the node holds
+                above = values[k[m] + 1 + np.argmax(ok[m, k[m] + 1:])]
+                pick[m] = Split(attr, j, "numeric", threshold=float((values[k[m]] + above) / 2))
+    return [pick.get(m) for m in nodes.tolist()], goes_left
+
+
+def _grow(table: _KeyTable, attributes: Sequence[str], min_instances: int,
+          sd_floor: float) -> tuple[list[Node], np.ndarray]:
+    """Grow an SD-reduction tree level by level over a key table.
+
+    A node stays a leaf below ``2 * min_instances`` rows, on constant
+    targets (min == max), at an SD of at most ``sd_floor``, or when no
+    split qualifies. Returns the nodes, root first and level by level, and
+    ``path``: ``path[d, k]`` indexes key k's node at depth d (-1 if none)."""
+    where = np.zeros(table.lo.size, dtype=np.int64)
+    nodes, levels, links = [], [], []
+    while (live := np.flatnonzero(where >= 0)).size:
+        levels.append(where.copy())
+        keys = live[np.argsort(where[live], kind="stable")]
+        loc = where[keys] - len(nodes)
+        starts = np.unique(loc, return_index=True)[1]
+        n, s, q = np.add.reduceat(table.sums[keys], starts).T
+        constant = np.minimum.reduceat(table.lo[keys], starts) \
+            == np.maximum.reduceat(table.hi[keys], starts)
+        grow = (n >= 2 * min_instances) & ~constant & (_sd_of(n, s, q) > sd_floor)
+        found, goes_left = [], np.zeros(keys.size, dtype=bool)
+        if grow.any():
+            sel = grow[loc]
+            found, goes_left[sel] = _best_splits(table, keys[sel], loc[sel], attributes,
+                                                 min_instances)
+        found = iter(found)   # one split or None per growing node, in order
+        splits = [next(found) if g else None for g in grow.tolist()]
+        is_split = np.array([split is not None for split in splits])
+        child = len(nodes) + n.size + 2 * np.cumsum(is_split) - 2
+        for split, first, count, value in zip(splits, child.tolist(),
+                                              n.astype(np.int64).tolist(), (s / n).tolist()):
+            if split is not None:
+                split.n, split.value = count, value
+                links.append((len(nodes), first))
+            nodes.append(Leaf(value, count) if split is None else split)
+        where[keys] = np.where(is_split[loc], child[loc] + ~goes_left, -1)
+    for parent, left in links:
+        nodes[parent].left, nodes[parent].right = nodes[left], nodes[left + 1]
+    return nodes, np.array(levels)
 
 
 def count_leaves(node: Node) -> int:
@@ -341,37 +394,20 @@ def _subtree_sse(node: Node, X: np.ndarray, y: np.ndarray, idx: np.ndarray) -> f
 
 
 def _rep_prune(node: Node, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-               tracker: "_PruneTracker") -> tuple[Node, float]:
-    """Bottom-up reduced-error pruning; returns (pruned node, holdout SSE)."""
+               sse: list[float]) -> tuple[Node, float]:
+    """Bottom-up reduced-error pruning; returns (pruned node, holdout SSE).
+    ``sse`` gets the total holdout SSE after every accepted prune."""
     if isinstance(node, Leaf):
         return node, _subtree_sse(node, X, y, idx)
     l_idx, r_idx = _split_indices(node, X, idx)
-    node.left, sse_l = _rep_prune(node.left, X, y, l_idx, tracker)
-    node.right, sse_r = _rep_prune(node.right, X, y, r_idx, tracker)
+    node.left, sse_l = _rep_prune(node.left, X, y, l_idx, sse)
+    node.right, sse_r = _rep_prune(node.right, X, y, r_idx, sse)
     sse_subtree = sse_l + sse_r
     sse_leaf = float(((y[idx] - node.value) ** 2).sum()) if idx.size else 0.0
     if sse_leaf <= sse_subtree:
-        tracker.record(sse_leaf - sse_subtree)
+        sse.append(sse[-1] + (sse_leaf - sse_subtree))
         return Leaf(node.value, node.n), sse_leaf
     return node, sse_subtree
-
-
-class _PruneTracker:
-    """Tracks total holdout RMSE after every accepted prune."""
-
-    def __init__(self, total_sse: float, holdout_n: int):
-        self.total_sse = total_sse
-        self.holdout_n = holdout_n
-        self.trace: list[float] = [self._rmse()]
-
-    def _rmse(self) -> float:
-        if self.holdout_n == 0:
-            return 0.0
-        return float(np.sqrt(self.total_sse / self.holdout_n))
-
-    def record(self, delta_sse: float) -> None:
-        self.total_sse += delta_sse
-        self.trace.append(self._rmse())
 
 
 def train_rep_tree(train: Dataset, params: TreeParams | None = None,
@@ -389,10 +425,7 @@ def train_rep_tree(train: Dataset, params: TreeParams | None = None,
     if not len(train):
         raise TrainingError("rep tree: empty training set")
     t0 = time.perf_counter()
-    X = encode_matrix(train)
-    y = train.kwh
-    n = len(train)
-
+    X, y, n = encode_matrix(train), train.kwh, len(train)
     rng = np.random.default_rng(np.random.SeedSequence((params.seed, 0x9E9)))
     perm = rng.permutation(n)
     n_hold = int(round(params.prune_fraction * n))
@@ -400,14 +433,13 @@ def train_rep_tree(train: Dataset, params: TreeParams | None = None,
     grow_idx = np.sort(perm[n_hold:])
     if grow_idx.size == 0:
         grow_idx, hold_idx = hold_idx, grow_idx
-
-    root = _grow(X, y, grow_idx, train.attributes, params.min_instances, 0.0)
-
+    root = _grow(_key_table(train.take(grow_idx)), train.attributes,
+                 params.min_instances, 0.0)[0][0]
     prune_trace: list[float] = []
     if hold_idx.size:
-        tracker = _PruneTracker(_subtree_sse(root, X, y, hold_idx), int(hold_idx.size))
-        root, _ = _rep_prune(root, X, y, hold_idx, tracker)
-        prune_trace = tracker.trace
+        sse = [_subtree_sse(root, X, y, hold_idx)]
+        root, _ = _rep_prune(root, X, y, hold_idx, sse)
+        prune_trace = [float(np.sqrt(total / hold_idx.size)) for total in sse]
 
     model = TreeModel(
         kind="rep_tree",
@@ -432,49 +464,66 @@ def train_rep_tree(train: Dataset, params: TreeParams | None = None,
 # ---------------------------------------------------------------------------
 # model tree
 
-def _fit_linear(D: np.ndarray, y: np.ndarray, idx: np.ndarray) -> tuple[LinearModel, float, int, bool]:
-    """Least-squares fit on the rows idx; falls back to the mean when the
-    system is too small or fails. Returns (model, rmse, n_params, fell_back)."""
-    yv = y[idx]
-    n = idx.size
-    p_full = D.shape[1] + 1
-    if yv.min() == yv.max():
-        # constant target: lstsq would only add rounding noise
-        return LinearModel(float(yv[0]), (0.0,) * D.shape[1]), 0.0, 1, False
-    if n > p_full:
-        A = np.hstack([np.ones((n, 1)), D[idx]])
-        try:
-            coef, _, _, _ = np.linalg.lstsq(A, yv, rcond=None)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            resid = yv - A @ coef
-            rmse = float(np.sqrt((resid ** 2).mean()))
-            model = LinearModel(float(coef[0]), tuple(float(c) for c in coef[1:]))
-            return model, rmse, p_full, False
-    mean = float(yv.mean())
-    resid = yv - mean
-    return LinearModel(mean, (0.0,) * D.shape[1]), float(np.sqrt((resid ** 2).mean())), 1, True
+_RCOND = 1e-12   # eigenvalues below this share of the largest are zero
 
 
-def _inflated(rmse: float, n: int, p: int) -> float:
-    return rmse * (n + p) / (n - p) if n > p else float("inf")
+def _fit_nodes(table: _KeyTable, path: np.ndarray,
+               attributes: Sequence[str]) -> tuple[list, list, int]:
+    """Per grown node its least-squares linear model and inflated error
+    estimate rmse * (n + p) / (n - p); and the number of mean fallbacks.
+
+    Summed Gram matrices sum_k n_k a_k a_k' over design rows (1, row) and
+    one batched ``eigh`` pseudo-inverse give the minimum-norm solution, as
+    ``lstsq`` does on the rank-deficient season one-hot plus intercept.
+    Constant targets keep their constant and a node with no more rows than
+    columns falls back to its mean, each with p = 1. The SSE,
+    sum_k scatter_k + n_k (mean_k - a_k'c)^2, does not cancel."""
+    A = np.hstack([np.ones((table.lo.size, 1)), design_matrix(table.codes, attributes)])
+    p, size = A.shape[1], path.max() + 1
+    node, key = path[path >= 0], np.nonzero(path >= 0)[1]   # (node, key) pairs
+    a, n_k, mean_k = A[key], table.sums[key, 0], table.sums[:, 1] / table.sums[:, 0]
+
+    def moments(weights: np.ndarray) -> np.ndarray:   # per node: sum of weights * a
+        return np.column_stack([np.bincount(node, weights * col, minlength=size) for col in a.T])
+
+    count, s = np.bincount(node, n_k, minlength=size), np.bincount(node, table.sums[key, 1])
+    lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
+    np.minimum.at(lo, node, table.lo[key])
+    np.maximum.at(hi, node, table.hi[key])
+    const = lo == hi
+    solve = (count > p) & ~const
+    gram = np.stack([moments(n_k * col) for col in a.T], axis=2)
+    w, V = np.linalg.eigh(gram[solve])
+    kept = w > _RCOND * w[:, -1:]
+    inverse = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
+    coef = np.zeros((size, p))
+    # solve, then refine once on the key residuals, as the normal equations
+    # square the condition number; both steps stay in the span of the Gram
+    # matrix, so the solution keeps the minimum norm
+    for _ in range(2):
+        resid = mean_k[key] - (a * coef[node]).sum(axis=1)
+        along = inverse * (V * moments(n_k * resid)[solve][:, :, None]).sum(axis=1)
+        coef[solve] += (V * along[:, None, :]).sum(axis=2)
+    coef[~solve, 0] = np.where(const, lo, s / count)[~solve]
+    resid = mean_k[key] - (a * coef[node]).sum(axis=1)
+    sse = np.bincount(node, table.scatter[key] + n_k * resid ** 2, minlength=size)
+    rmse, params = np.where(const, 0.0, np.sqrt(sse / count)), np.where(solve, p, 1)
+    estimate = np.where(count > params,
+                        rmse * (count + params) / np.maximum(count - params, 1), np.inf)
+    models = [LinearModel(c[0], tuple(c[1:])) for c in coef.tolist()]
+    return models, estimate.tolist(), int((~solve & ~const).sum())
 
 
-def _m5_prune(node: Node, X: np.ndarray, D: np.ndarray, y: np.ndarray,
-              idx: np.ndarray, stats: dict) -> tuple[Node, float]:
-    """Fit linear models bottom-up and prune by inflated error estimates."""
-    model, rmse, p, fell_back = _fit_linear(D, y, idx)
-    if fell_back:
-        stats["linear_fallbacks"] += 1
-    est_here = _inflated(rmse, idx.size, p)
+def _m5_prune(node: Node, fits: dict, stats: dict) -> tuple[Node, float]:
+    """Give a subtree the models of ``fits`` (by node id: model, estimate)
+    and prune it bottom-up by inflated error; returns (node, estimate)."""
+    model, est_here = fits[id(node)]
     if isinstance(node, Leaf):
         node.model = model
         return node, est_here
-    l_idx, r_idx = _split_indices(node, X, idx)
-    node.left, est_l = _m5_prune(node.left, X, D, y, l_idx, stats)
-    node.right, est_r = _m5_prune(node.right, X, D, y, r_idx, stats)
-    est_subtree = (l_idx.size / idx.size) * est_l + (r_idx.size / idx.size) * est_r
+    node.left, est_l = _m5_prune(node.left, fits, stats)
+    node.right, est_r = _m5_prune(node.right, fits, stats)
+    est_subtree = (node.left.n / node.n) * est_l + (node.right.n / node.n) * est_r
     # the tolerance only matters when both estimates are rounding noise
     # (exact fits), where the collapse must still win
     if est_here <= est_subtree * (1.0 + 1e-9) + 1e-12:
@@ -491,23 +540,19 @@ def train_model_tree(train: Dataset, params: TreeParams | None = None,
     Growing stops below ``min_instances`` pairs or once a node's target SD
     falls under 5% of the root SD. Pruning replaces a subtree with the
     node's own linear model whenever the inflated model error estimate is
-    no worse; singular or underdetermined fits fall back to the node mean
-    and are counted in ``training_meta``.
+    no worse; underdetermined fits fall back to the node mean and are
+    counted in ``training_meta``.
     """
     params = params or TreeParams()
     params.validate()
     if not len(train):
         raise TrainingError("model tree: empty training set")
     t0 = time.perf_counter()
-    X = encode_matrix(train)
-    D = design_matrix(X, train.attributes)
-    y = train.kwh
-    idx = np.arange(len(train))
-
-    sd_floor = 0.05 * _sd(y)
-    root = _grow(X, y, idx, train.attributes, params.min_instances, sd_floor)
-    stats = {"linear_fallbacks": 0, "pruned_nodes": 0}
-    root, _ = _m5_prune(root, X, D, y, idx, stats)
+    table = _key_table(train)
+    nodes, path = _grow(table, train.attributes, params.min_instances, 0.05 * _sd(train.kwh))
+    models, estimate, fallbacks = _fit_nodes(table, path, train.attributes)
+    stats = {"linear_fallbacks": fallbacks, "pruned_nodes": 0}
+    root, _ = _m5_prune(nodes[0], dict(zip(map(id, nodes), zip(models, estimate))), stats)
 
     model = TreeModel(
         kind="model_tree",
@@ -517,8 +562,7 @@ def train_model_tree(train: Dataset, params: TreeParams | None = None,
         training_meta={
             "rows": len(train),
             "split_criterion": "sd_reduction",
-            "linear_fallbacks": stats["linear_fallbacks"],
-            "pruned_nodes": stats["pruned_nodes"],
+            **stats,
             "train_seconds": 0.0,
             "seed": params.seed,
         },
@@ -602,10 +646,7 @@ def _predict_dataset(model: TreeModel, ds: Dataset) -> np.ndarray:
     Rows are encoded by the model's attributes: a replay stream's dataset
     may carry none.
     """
-    cal = ds.calendar()
-    key = (((ds.interval * 2 + cal["day_period"]) * 2 + cal["day_type"]) * 13
-           + cal["month"]) * 4 + cal["season"]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(ds.calendar_key(), return_index=True, return_inverse=True)
     return _predict_encoded(model, encode_matrix(ds.take(first), model.attributes))[inverse]
 
 

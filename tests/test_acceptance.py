@@ -22,7 +22,7 @@ from gridwatch.ingest import (SH_ATTRIBUTES, Dataset, build_sh_dataset, clean_da
 from gridwatch.metrics import rates_from_counts
 from gridwatch.scenario import ScenarioConfig, run_scenario, train_sh_fleet
 from gridwatch.synth import SynthProfile, synth_readings
-from gridwatch.trees import (Leaf, TreeModel, TreeParams, _grow, encode_matrix,
+from gridwatch.trees import (Leaf, TreeModel, TreeParams, _grow, _key_table, encode_matrix,
                              encode_value, train_model_tree, train_rep_tree)
 
 DESK = ScenarioConfig(nb_sh=50, weeks=16, seed=7, jobs=1)
@@ -64,7 +64,7 @@ def test_criterion_01_split_oracle():
         ds = Dataset.from_rows("SH", 1, rows, SH_ATTRIBUTES)
         X = encode_matrix(ds)
         y = ds.kwh
-        root = _grow(X, y, np.arange(len(rows)), SH_ATTRIBUTES, min_instances, 0.0)
+        root = _grow(_key_table(ds), SH_ATTRIBUTES, min_instances, 0.0)[0][0]
         oracle = _brute_force_gain(rows, SH_ATTRIBUTES, min_instances)
         if isinstance(root, Leaf):
             assert oracle <= 1e-9, f"splitter stopped but gain {oracle} was available"

@@ -431,6 +431,21 @@ def test_simulate_rejects_config_naming_key(tmp_path, capsys, extra, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"factors": {"t1": [3]}}, "factors of t1 [3]: expected [low, high]"),
+    ({"factors": {"t1": 3}}, "factors of t1 3: expected [low, high]"),
+    ({"peak_windows": [[7]]}, "peak_windows entry [7]: expected [start, end]"),
+    ({"peak_windows": 7}, "peak_windows 7: expected a list of [start, end]"),
+    ({"factors": [3, 1]}, "factors [3, 1]: expected {type: [low, high]}"),
+])
+def test_simulate_rejects_entry_of_wrong_shape(tmp_path, capsys, extra, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4, **extra}))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "ingest"])
 def test_seed_flag_below_zero_is_user_error(raw_file, tmp_path, capsys, command):
     inputs = [str(raw_file), "--split"] if command == "ingest" else []

@@ -13,11 +13,12 @@ from gridwatch.errors import ContractViolation, ModelDecodeError, TrainingError
 from gridwatch.ingest import (NBH_ATTRIBUTES, SEASONS, SH_ATTRIBUTES, Dataset,
                               FeatureVector, feature_vector, season_of_month)
 from gridwatch.trees import (CATEGORICAL_ATTRIBUTES, Leaf, LinearModel, Split, TreeModel,
-                             TreeParams, _best_split, _grow, _predict_dataset,
-                             _predict_encoded, _split_indices, count_leaves, deserialize,
-                             design_columns, encode_matrix, encode_value, evaluate, predict,
-                             sd_reduction, serialize, to_text,
-                             train_model_tree, train_rep_tree, tree_depth)
+                             TreeParams, _grow, _key_table, _predict_dataset,
+                             _predict_encoded, _rep_prune, _sd, _split_indices,
+                             _subtree_sse, count_leaves, deserialize, design_columns,
+                             design_matrix, encode_matrix, encode_value, evaluate, predict,
+                             sd_reduction, serialize, to_text, train_model_tree,
+                             train_rep_tree, tree_depth)
 
 ATTRS = SH_ATTRIBUTES
 
@@ -80,6 +81,147 @@ def reference_predict(model, fv):
 
 def bits(value) -> bytes:
     return np.float64(value).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reference: the recursive row grower and M5 fits that key-table training
+# replaced, with the two changes it made to split search: a side's SD is
+# two-pass (numpy's std), and gains within 1e-9 of the node's SD tie, the
+# first candidate declared winning (the one-pass row sums broke such ties,
+# as between candidates that part the rows alike, by rounding)
+
+def _numeric_candidates(v, y, sd_parent, min_instances):
+    """Gains and thresholds, in increasing threshold order, for one attribute."""
+    distinct, n = np.unique(v), v.size
+    found = []
+    for threshold in (distinct[:-1] + distinct[1:]) / 2.0:
+        mask = v <= threshold
+        nl = int(mask.sum())
+        if min(nl, n - nl) >= min_instances:
+            found.append((sd_parent - (nl / n) * y[mask].std() - ((n - nl) / n) * y[~mask].std(),
+                          threshold))
+    return np.array(found).reshape(-1, 2).T
+
+
+def _subset_candidates(values):
+    """Proper bipartitions of the observed category codes, deduplicated by
+    always keeping the lowest code on the left."""
+    distinct = sorted(set(values.tolist()))
+    if len(distinct) < 2:
+        return []
+    first, rest = distinct[0], distinct[1:]
+    subsets = []
+    for mask in range(2 ** len(rest)):
+        left = {first} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
+        if len(left) < len(distinct):
+            subsets.append(frozenset(left))
+    subsets.sort(key=lambda s: (len(s), sorted(s)))
+    return subsets
+
+
+def _best_split(X, y, idx, attributes, min_instances):
+    """The best split of the rows idx, without children, or None."""
+    yv = y[idx]
+    sd_parent = _sd(yv)
+    found = []   # (gain, split) of every admissible candidate, in tie-break order
+    for j, attr in enumerate(attributes):
+        v = X[idx, j]
+        if attr in CATEGORICAL_ATTRIBUTES:
+            seen = frozenset(set(v.tolist()))
+            n = v.size
+            for subset in _subset_candidates(v):
+                mask = np.isin(v, list(subset))
+                nl = int(mask.sum())
+                if nl < min_instances or n - nl < min_instances:
+                    continue
+                gain = sd_parent - (nl / n) * yv[mask].std() - ((n - nl) / n) * yv[~mask].std()
+                found.append((gain, Split(attr, j, "subset", subset=subset, seen=seen)))
+        else:
+            gains, thresholds = _numeric_candidates(v, yv, sd_parent, min_instances)
+            found += [(float(g), Split(attr, j, "numeric", threshold=float(t)))
+                      for g, t in zip(gains, thresholds)]
+    best_gain = max((gain for gain, _ in found), default=0.0)
+    if best_gain <= 1e-12:
+        return None
+    return next(split for gain, split in found
+                if gain >= max(best_gain - 1e-9 * sd_parent, 1e-12))
+
+
+def _row_grow(X, y, idx, attributes, min_instances, sd_floor):
+    n = idx.size
+    yv = y[idx]
+    mean = float(yv.mean())
+    if n < 2 * min_instances or yv.min() == yv.max() or _sd(yv) <= sd_floor:
+        return Leaf(mean, n)
+    split = _best_split(X, y, idx, attributes, min_instances)
+    if split is None:
+        return Leaf(mean, n)
+    left_idx, right_idx = _split_indices(split, X, idx)
+    split.left = _row_grow(X, y, left_idx, attributes, min_instances, sd_floor)
+    split.right = _row_grow(X, y, right_idx, attributes, min_instances, sd_floor)
+    split.n, split.value = n, mean
+    return split
+
+
+def _fit_linear(D, y, idx):
+    """Least-squares fit on the rows idx; falls back to the mean when the
+    system is too small. Returns (model, rmse, n_params, fell_back)."""
+    yv = y[idx]
+    n = idx.size
+    p_full = D.shape[1] + 1
+    if yv.min() == yv.max():
+        return LinearModel(float(yv[0]), (0.0,) * D.shape[1]), 0.0, 1, False
+    if n > p_full:
+        A = np.hstack([np.ones((n, 1)), D[idx]])
+        coef, _, _, _ = np.linalg.lstsq(A, yv, rcond=None)
+        rmse = float(np.sqrt(((yv - A @ coef) ** 2).mean()))
+        return LinearModel(float(coef[0]), tuple(float(c) for c in coef[1:])), rmse, p_full, False
+    mean = float(yv.mean())
+    return (LinearModel(mean, (0.0,) * D.shape[1]), float(np.sqrt(((yv - mean) ** 2).mean())),
+            1, True)
+
+
+def _inflated(rmse, n, p):
+    return rmse * (n + p) / (n - p) if n > p else float("inf")
+
+
+def _m5_prune(node, X, D, y, idx, stats):
+    """Fit linear models bottom-up and prune by inflated error estimates."""
+    model, rmse, p, fell_back = _fit_linear(D, y, idx)
+    stats["linear_fallbacks"] += fell_back
+    est_here = _inflated(rmse, idx.size, p)
+    if isinstance(node, Leaf):
+        node.model = model
+        return node, est_here
+    l_idx, r_idx = _split_indices(node, X, idx)
+    node.left, est_l = _m5_prune(node.left, X, D, y, l_idx, stats)
+    node.right, est_r = _m5_prune(node.right, X, D, y, r_idx, stats)
+    est_subtree = (l_idx.size / idx.size) * est_l + (r_idx.size / idx.size) * est_r
+    if est_here <= est_subtree * (1.0 + 1e-9) + 1e-12:
+        stats["pruned_nodes"] += 1
+        return Leaf(node.value, node.n, model=model), est_here
+    node.model = model
+    return node, est_subtree
+
+
+def reference_tree(kind, train, params):
+    """The root and training stats of the tree the row learner grows."""
+    X, y = encode_matrix(train), train.kwh
+    if kind == "model_tree":
+        idx = np.arange(len(train))
+        root = _row_grow(X, y, idx, train.attributes, params.min_instances, 0.05 * _sd(y))
+        stats = {"linear_fallbacks": 0, "pruned_nodes": 0}
+        root, _ = _m5_prune(root, X, design_matrix(X, train.attributes), y, idx, stats)
+        return root, stats
+    perm = np.random.default_rng(np.random.SeedSequence((params.seed, 0x9E9))).permutation(len(y))
+    n_hold = int(round(params.prune_fraction * len(y)))
+    hold, grow = np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
+    if grow.size == 0:
+        grow, hold = hold, grow
+    root = _row_grow(X, y, grow, train.attributes, params.min_instances, 0.0)
+    if hold.size:
+        root, _ = _rep_prune(root, X, y, hold, [_subtree_sse(root, X, y, hold)])
+    return root, {}
 
 
 def random_rows(rng, n):
@@ -190,10 +332,7 @@ def test_root_split_matches_brute_force_sample():
     min_instances = 5
     for _ in range(20):
         rows = random_rows(rng, int(rng.integers(20, 120)))
-        ds = dataset(rows)
-        X = encode_matrix(ds)
-        y = ds.kwh
-        root = _grow(X, y, np.arange(len(rows)), ATTRS, min_instances, 0.0)
+        root = _grow(_key_table(dataset(rows)), ATTRS, min_instances, 0.0)[0][0]
         oracle = brute_force_best_gain(rows, ATTRS, min_instances)
         if isinstance(root, Leaf):
             assert oracle <= 1e-9
@@ -207,12 +346,9 @@ def test_tie_break_prefers_first_attribute_and_lowest_threshold():
     for i, (hour, day) in enumerate([(1, dt.date(2009, 1, 5)), (1, dt.date(2009, 1, 6)),
                                      (2, dt.date(2009, 1, 10)), (2, dt.date(2009, 1, 11))]):
         rows.append(feature_vector(day, hour, "hour", 0.0 if hour == 1 else 10.0))
-    ds = dataset(rows)
-    X = encode_matrix(ds)
-    y = ds.kwh
-    cand = _best_split(X, y, np.arange(4), ATTRS, 1)
-    assert ATTRS[cand.attr_index] == "interval"
-    assert cand.threshold == pytest.approx(1.5)
+    root = _grow(_key_table(dataset(rows)), ATTRS, 1, 0.0)[0][0]
+    assert ATTRS[root.attr_index] == "interval"
+    assert root.threshold == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +767,7 @@ def random_models(draw):
                      smoothing_k=draw(st.sampled_from([15.0, 0.5, 3.0])))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(random_models(), st.data())
 def test_columnar_walk_equals_reference_bit_for_bit(model, data):
     row = st.tuples(*[st.integers(0 if attr != "interval" else 1, TOPS[attr])
@@ -648,3 +784,61 @@ def test_prediction_cache_is_per_model():
     assert a == constant_leaf_model(1.0)      # the cache takes no part in equality
     assert "_predictions" not in repr(a)
     assert dataclasses.replace(a)._predictions == {}
+
+
+# ---------------------------------------------------------------------------
+# key-table training against the row reference, on random training sets
+
+@st.composite
+def training_sets(draw):
+    """Few calendar keys with many rows each: targets constant within a key
+    (noise 0), on all keys of the first month or everywhere; one season or
+    several; and nodes with fewer keys than design columns."""
+    level = draw(st.sampled_from(["SH", "NBH"]))
+    top, attributes = (24, SH_ATTRIBUTES) if level == "SH" else (48, NBH_ATTRIBUTES)
+    months = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(months), st.booleans(), st.integers(1, top)),
+                         min_size=1, max_size=12, unique=True))
+    counts = draw(st.lists(st.integers(1, 12), min_size=len(keys), max_size=len(keys)))
+    constant = draw(st.sampled_from(["none", "first month", "all"]))
+    noise = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for (month, weekend, interval), count in zip(keys, counts):
+        first = dt.date(2009, month, 1)
+        days = [first + dt.timedelta(days=d) for d in range(28)
+                if ((first + dt.timedelta(days=d)).weekday() >= 5) == weekend]
+        fixed = constant == "all" or (constant == "first month" and month == months[0])
+        base = float(rng.uniform(0.1, 3.0))
+        for _ in range(count):
+            value = 1.25 if fixed else base + noise * float(rng.random())
+            rows.append(feature_vector(days[int(rng.integers(len(days)))], interval,
+                                       "hour" if level == "SH" else "slot", value))
+    return Dataset.from_rows(level, 1 if level == "SH" else None, rows, attributes)
+
+
+def assert_same_tree(got, want):
+    """Equal structure; node means within the rounding of their sums."""
+    assert type(got) is type(want) and got.n == want.n
+    # a sum of n non-negative terms is exact to (n - 1) units of roundoff
+    # in any order, so two orders differ by at most n * eps after dividing
+    assert abs(got.value - want.value) <= got.n * np.finfo(float).eps * abs(want.value)
+    if isinstance(got, Split):
+        assert (got.attribute, got.attr_index, got.kind, got.threshold, got.subset, got.seen) \
+            == (want.attribute, want.attr_index, want.kind, want.threshold, want.subset, want.seen)
+        assert_same_tree(got.left, want.left)
+        assert_same_tree(got.right, want.right)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(training_sets(), st.sampled_from(["model_tree", "rep_tree"]), st.integers(1, 6),
+       st.integers(0, 3))
+def test_key_table_training_equals_row_reference(train, kind, min_instances, seed):
+    params = TreeParams(min_instances=min_instances, seed=seed)
+    model = (train_model_tree if kind == "model_tree" else train_rep_tree)(train, params)
+    root, stats = reference_tree(kind, train, params)
+    assert_same_tree(model.root, root)
+    assert {key: model.training_meta[key] for key in stats} == stats
+    reference = dataclasses.replace(model, root=root)
+    assert np.abs(_predict_dataset(model, train)
+                  - _predict_dataset(reference, train)).max() <= 1e-9
