@@ -2,11 +2,12 @@
 
 Per home, each hourly observation is compared against the trained model's
 prediction plus its stored prediction error (validation RMSE). Exceedances
-feed a sliding window of the last ``n_window`` flags; an alert fires when
-an exceeding observation brings the window's flag count strictly above
-``nbr_incr`` (default 2, i.e. more than two tolerated successive
-increases), after which the window is cleared. A paper-literal lifetime
-counter mode is available behind ``mode="lifetime"``.
+feed a sliding window of the last ``n_window`` flags, held as an
+``n_window``-bit int whose lowest bit is the newest flag; an alert fires
+when an exceeding observation brings the window's flag count (its set
+bits) strictly above ``nbr_incr`` (default 2, i.e. more than two tolerated
+successive increases), after which the window is cleared. A paper-literal
+lifetime counter mode is available behind ``mode="lifetime"``.
 
 At the neighborhood level every half-hourly exceedance raises an immediate
 abnormal-consumption alert (no counter). The decision maker confirms an
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -98,24 +98,17 @@ class ShDetectorState(_DetectorState):
         self.nbr_incr = nbr_incr
         self.n_window = n_window
         self.mode = mode
-        self.window: deque[bool] = deque(maxlen=n_window)
+        self.bits = 0                       # the window: bit i is the flag i steps back
+        self._mask = (1 << n_window) - 1
         self.lifetime_counter = 0
 
     @property
     def counter(self) -> int:
-        return sum(self.window)
+        return self.bits.bit_count()
 
 
 class NbhDetectorState(_DetectorState):
     """Neighborhood detector state (no counter: single-interval test)."""
-
-
-def _check_order(state, date: dt.date, interval: int) -> None:
-    key = (date, interval)
-    if state._last_key is not None and key <= state._last_key:
-        raise SequencingError(
-            f"observation {key} not after {state._last_key}")
-    state._last_key = key
 
 
 def sh_step(state: ShDetectorState, fv: FeatureVector) -> AlertEvent | None:
@@ -129,8 +122,12 @@ def sh_step(state: ShDetectorState, fv: FeatureVector) -> AlertEvent | None:
 def _sh_decide(state: ShDetectorState, date: dt.date, interval: int, observed: float,
                predicted: float) -> AlertEvent | None:
     """The home detector once the prediction is known: order check,
-    exceedance, window (or lifetime) counter and alert."""
-    _check_order(state, date, interval)
+    exceedance, window (or lifetime) counter and alert. The order check is
+    written out here and in ``_nbh_decide``: it runs once per reading."""
+    key = (date, interval)
+    if state._last_key is not None and key <= state._last_key:
+        raise SequencingError(f"observation {key} not after {state._last_key}")
+    state._last_key = key
     exceeded = observed > predicted + state.pe
 
     if state.mode == "lifetime":
@@ -138,10 +135,12 @@ def _sh_decide(state: ShDetectorState, date: dt.date, interval: int, observed: f
         if exceeded and not fired:
             state.lifetime_counter += 1
     else:
-        state.window.append(exceeded)
-        fired = exceeded and state.counter > state.nbr_incr
-        if fired:
-            state.window.clear()
+        bits = state.bits << 1 & state._mask
+        fired = False
+        if exceeded:
+            bits |= 1
+            fired = bits.bit_count() > state.nbr_incr
+        state.bits = 0 if fired else bits
     if not fired:
         return None
     return AlertEvent("sh_anomaly", state.meter_id, date, interval, "hour",
@@ -157,7 +156,10 @@ def _nbh_decide(state: NbhDetectorState, date: dt.date, interval: int, observed:
                 predicted: float) -> AlertEvent | None:
     """The neighborhood detector once the prediction is known: order check
     and an immediate alert on exceedance."""
-    _check_order(state, date, interval)
+    key = (date, interval)
+    if state._last_key is not None and key <= state._last_key:
+        raise SequencingError(f"observation {key} not after {state._last_key}")
+    state._last_key = key
     if observed > predicted + state.pe:
         return AlertEvent("nacr", None, date, interval, "slot", observed, predicted, state.pe)
     return None

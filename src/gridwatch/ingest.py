@@ -38,7 +38,7 @@ import logging
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,9 +93,12 @@ class MeterReading:
         return date_of(self.day_code)
 
 
-@dataclasses.dataclass(frozen=True)
-class FeatureVector:
-    """One model instance: calendar attributes plus the consumption target."""
+class FeatureVector(NamedTuple):
+    """One model instance: calendar attributes plus the consumption target.
+
+    A named tuple: immutable, hashable, cheap to build once per streamed
+    observation, and equal to the plain tuple of its fields in this order.
+    ``fv[1:6]`` is its calendar key."""
 
     date: dt.date
     interval: int        # hour 1..24 (SH) or slot 1..48 (NBH)
@@ -344,9 +347,8 @@ def _day_period(interval: int, kind: str) -> str:
 
 
 def feature_vector(date: dt.date, interval: int, kind: str, consumption: float) -> FeatureVector:
-    day_type, month, season = _calendar(date)
-    return FeatureVector(date, interval, _day_period(interval, kind), day_type, month, season,
-                         consumption)
+    return FeatureVector._make((date, interval, _day_period(interval, kind), *_calendar(date),
+                                consumption))
 
 
 def parse_raw(lines: Iterable[str]) -> ParseResult:

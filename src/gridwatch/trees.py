@@ -592,11 +592,12 @@ def _stamp_errors(model: TreeModel, train: Dataset, valid: Dataset | None,
 def predict(model: TreeModel, fv: FeatureVector) -> float:
     """The prediction for one vector, clamped at 0.
 
-    The result is memoised on the model per calendar key; the key holds
-    every attribute the tree walk reads, so the memo is exact. A miss
-    walks the one encoded row.
+    The result is memoised on the model per calendar key, ``fv[1:6]``:
+    (interval, day_period, day_type, month, season). The key holds every
+    attribute the tree walk reads, so the memo is exact. A miss walks the
+    one encoded row.
     """
-    key = (fv.interval, fv.day_period, fv.day_type, fv.month, fv.season)
+    key = fv[1:6]
     value = model._predictions.get(key)
     if value is None:
         x = np.array([[encode_value(attr, fv) for attr in model.attributes]])

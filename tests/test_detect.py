@@ -2,10 +2,13 @@ import csv
 import datetime as dt
 import itertools
 import json
+from collections import deque
 from collections.abc import Sized
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridwatch.cli import main
 from gridwatch.detect import (DEFAULT_N_WINDOW, DecisionMaker, NbhDetectorState,
@@ -141,6 +144,32 @@ def test_sh_windowed_matches_reference_exhaustive_length_8():
             assert drive(flags)[0] == reference_alerts(flags), flags
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_window=st.integers(1, 70))
+def test_bit_window_equals_deque_automaton_and_window_scan(data, n_window):
+    # The window is an n_window-bit int; the automaton it replaced kept a
+    # deque of the last n_window flags, summed it and cleared it on an alert.
+    # Flags are drawn as the run of non-exceeding steps before each
+    # exceedance, so sparse sequences, whose flags leave the window by age,
+    # are common.
+    nbr_incr = data.draw(st.integers(0, n_window - 1), label="nbr_incr")
+    gaps = data.draw(st.lists(st.integers(0, 2 * n_window), max_size=40), label="gaps")
+    flags = [flag for gap in gaps for flag in [False] * gap + [True]]
+    state = ShDetectorState(1, leaf_model(0.0, pe=0.5), nbr_incr=nbr_incr, n_window=n_window)
+    window = deque(maxlen=n_window)
+    fired = []
+    for step, flag in enumerate(flags):
+        event = sh_step(state, hourly_fv(step, 1.0 if flag else 0.2))
+        window.append(flag)
+        deque_fires = flag and sum(window) > nbr_incr
+        if deque_fires:
+            window.clear()
+            fired.append(step)
+        assert (event is not None) == deque_fires, step
+        assert state.counter == sum(window), step
+    assert fired == reference_alerts(flags, nbr_incr, n_window)
+
+
 def test_sh_window_size_matters():
     # five flags spaced so a window of 4 holds at most 2 until the last step
     flags = [True, False, True, False, True, True]
@@ -194,8 +223,11 @@ def test_state_is_bounded_by_window(level):
     else:
         state, step, make_fv = ShDetectorState(1, leaf_model(0.5, pe=0.1), mode=level), \
             sh_step, hourly_fv
-    fired = sum(step(state, make_fv(i, float(rng.uniform(0, 1.2)))) is not None
-                for i in range(5000))
+    fired = 0
+    for i in range(5000):
+        fired += step(state, make_fv(i, float(rng.uniform(0, 1.2)))) is not None
+        if level == "windowed":   # an int window, which the sizes below do not see
+            assert 0 <= state.bits < 2 ** DEFAULT_N_WINDOW, (i, state.bits)
     assert fired > 0
     sizes = {name: len(value) for name, value in vars(state).items()
              if isinstance(value, Sized) and not isinstance(value, str)}

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import json
+import math
 
 import numpy as np
 import pytest
@@ -338,7 +339,19 @@ def test_benchmark_model_tree_beats_rep_tree_on_smooth_data(benchmark_splits):
 
 
 def test_benchmark_rep_tree_trains_faster(benchmark_splits):
-    rows = benchmark_models(*benchmark_splits, TreeParams(seed=7))
-    rep = sum(r["train_seconds"] for r in rows if r["algorithm"] == "rep_tree")
-    m5 = sum(r["train_seconds"] for r in rows if r["algorithm"] == "model_tree")
+    # One training of each learner is a wall-clock race that a busy host can
+    # tip (6 meters take ~50 ms against ~57 ms). Each meter's two learners are
+    # trained back to back, five times over, and each learner is timed by its
+    # fastest training per meter, so a slow stretch of the host slows both.
+    splits, _ = benchmark_splits
+    params = TreeParams(seed=7)
+    fastest = {}
+    for _ in range(5):
+        for m, (train, valid) in splits.items():
+            model = train_model_tree(train, params, valid=valid)
+            for r in benchmark_models({m: (train, valid)}, {m: model}, params):
+                key = (r["algorithm"], m)
+                fastest[key] = min(fastest.get(key, math.inf), r["train_seconds"])
+    rep = sum(s for (algorithm, _), s in fastest.items() if algorithm == "rep_tree")
+    m5 = sum(s for (algorithm, _), s in fastest.items() if algorithm == "model_tree")
     assert rep < m5

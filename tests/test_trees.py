@@ -356,7 +356,7 @@ def test_tie_break_prefers_first_attribute_and_lowest_threshold():
 
 def test_rep_tree_constant_target_is_single_leaf():
     rows = random_rows(np.random.default_rng(2), 40)
-    rows = [dataclasses.replace(r, consumption=0.7) for r in rows]
+    rows = [r._replace(consumption=0.7) for r in rows]
     model = train_rep_tree(dataset(rows), TreeParams(min_instances=2, seed=1))
     assert isinstance(model.root, Leaf)
     assert predict(model, rows[0]) == pytest.approx(0.7)
@@ -441,7 +441,7 @@ def test_model_tree_recovers_exact_linear_target():
 
 
 def test_model_tree_constant_target():
-    rows = [dataclasses.replace(r, consumption=1.5) for r in _linear_rows()]
+    rows = [r._replace(consumption=1.5) for r in _linear_rows()]
     model = train_model_tree(dataset(rows), TreeParams(seed=0))
     assert isinstance(model.root, Leaf)
     assert predict(model, rows[0]) == pytest.approx(1.5, abs=1e-9)
@@ -521,14 +521,14 @@ def test_model_tree_smoothing_changes_only_split_trees():
 # evaluation
 
 def test_evaluate_perfect_predictions():
-    rows = [dataclasses.replace(r, consumption=2.0) for r in _linear_rows(days=2)]
+    rows = [r._replace(consumption=2.0) for r in _linear_rows(days=2)]
     model = constant_leaf_model(2.0)
     assert evaluate(model, dataset(rows)) == {"mae": 0.0, "rmse": 0.0}
 
 
 def test_evaluate_unit_residuals():
     model = constant_leaf_model(2.0)
-    rows = [dataclasses.replace(r, consumption=c)
+    rows = [r._replace(consumption=c)
             for r, c in zip(_linear_rows(days=1), [1.0, 3.0, 1.0, 3.0])]
     scores = evaluate(model, dataset(rows[:4]))
     assert scores["mae"] == pytest.approx(1.0)
@@ -537,7 +537,7 @@ def test_evaluate_unit_residuals():
 
 def test_evaluate_rmse_weights_large_errors():
     model = constant_leaf_model(2.0)
-    rows = [dataclasses.replace(r, consumption=c)
+    rows = [r._replace(consumption=c)
             for r, c in zip(_linear_rows(days=1), [2.0, 2.0, 2.0, 4.0])]
     scores = evaluate(model, dataset(rows[:4]))
     assert scores["mae"] == pytest.approx(0.5)
@@ -627,7 +627,7 @@ def _patterned_rows(kind, n, seed):
         value = (0.3 + 0.05 * interval * (2.0 if fv.day_type == "weekend" else 1.0)
                  + 0.1 * (fv.month % 4) + (0.4 if fv.day_period == "day" else 0.0)
                  + float(rng.normal(0, 0.05)))
-        rows.append(dataclasses.replace(fv, consumption=value))
+        rows.append(fv._replace(consumption=value))
     return rows
 
 
@@ -673,6 +673,33 @@ def test_cache_models_split_and_smooth(cache_models):
                        for fv in _every_calendar_key(kind))
 
 
+def test_feature_vector_is_a_frozen_tuple_whose_calendar_is_the_memo_key():
+    fv = feature_vector(dt.date(2009, 3, 7), 14, "hour", 1.25)
+    assert FeatureVector._fields == ("date", "interval", "day_period", "day_type", "month",
+                                     "season", "consumption")
+    assert fv == (dt.date(2009, 3, 7), 14, "day", "weekend", 3, "spring", 1.25)
+    for field in FeatureVector._fields:
+        with pytest.raises(AttributeError):
+            setattr(fv, field, None)
+    with pytest.raises(TypeError):
+        fv[6] = 2.0
+    assert hash(fv) == hash(tuple(fv)) == hash(fv._replace(consumption=1.25))
+    assert {fv, fv._replace(consumption=1.25), fv._replace(consumption=2.0)} == \
+        {fv, fv._replace(consumption=2.0)}
+
+    # the predict memo holds exactly the 5-tuples (interval, day_period,
+    # day_type, month, season) that it held when they were built field by field
+    model = constant_leaf_model(0.5, attributes=NBH_ATTRIBUTES)
+    vectors = [feature_vector(dt.date(2009, 1, 5) + dt.timedelta(days=d), slot, "slot", 0.0)
+               for d in range(0, 360, 9) for slot in (1, 14, 15, 44, 48)]
+    for vector in vectors:
+        predict(model, vector)
+        predict(model, vector._replace(consumption=3.0))
+    old_keys = {(v.interval, v.day_period, v.day_type, v.month, v.season) for v in vectors}
+    assert set(model._predictions) == old_keys
+    assert all(type(key) is tuple for key in model._predictions)
+
+
 @pytest.mark.parametrize("name", CACHE_MODELS)
 def test_cached_predict_equals_uncached_walk(cache_models, name):
     model, kind = cache_models[name]
@@ -682,7 +709,7 @@ def test_cached_predict_equals_uncached_walk(cache_models, name):
         assert bits(predict(model, fv)) == bits(reference_predict(model, fv))
     assert len(model._predictions) == len(vectors)
     for fv in reversed(vectors):
-        assert bits(predict(model, dataclasses.replace(fv, consumption=9.0))) \
+        assert bits(predict(model, fv._replace(consumption=9.0))) \
             == bits(reference_predict(model, fv))
     assert len(model._predictions) == len(vectors)
     assert serialize(model) == blob
