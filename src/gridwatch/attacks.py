@@ -255,18 +255,27 @@ def corpus_csv_rows(corpus: Corpus) -> Iterator[str]:
     attack type, seed), one variant per string after the header line.
 
     The text is what ``csv.writer`` writes for these fields (no field needs
-    quoting), gathered from per-day text and a per-variant tail.
+    quoting), with each float as its ``repr``. Consecutive variants of one
+    base series share its per-row head (meter, date, interval, base), and
+    an attacked value with the bits of its base value reuses the base text.
     """
     yield "meter_id,date,interval,base_kwh,attacked_kwh,label,attack_type,seed\r\n"
+    base = None
     for variant in corpus.variants:
         ls = variant.labeled
-        ds = ls.base.data
-        meter = "" if ds.meter_id is None else ds.meter_id
-        table = ds._day_table()
-        day_text = [f"{meter},{date.isoformat()}," for date in table.dates]
+        if ls.base is not base:
+            base, ds = ls.base, ls.base.data
+            meter = "" if ds.meter_id is None else ds.meter_id
+            table = ds._day_table()
+            day_text = [f"{meter},{date.isoformat()}," for date in table.dates]
+            base_text = list(map(repr, ds.kwh.tolist()))
+            heads = [f"{day_text[d]}{i},{b},"
+                     for d, i, b in zip(table.inverse.tolist(), ds.interval.tolist(), base_text)]
+        attacked = np.asarray(ls.attacked, dtype=np.float64)
+        text = base_text.copy()
+        changed = np.flatnonzero(attacked.view(np.uint64) != ds.kwh.view(np.uint64))
+        for i, a in zip(changed.tolist(), attacked[changed].tolist()):
+            text[i] = repr(a)
         tail = [f",{label},{variant.attack_type},{corpus.seed}\r\n"
                 for label in ("benign", "malicious")]
-        yield "".join(f"{day_text[d]}{i},{b!r},{a!r}{tail[m]}"
-                      for d, i, b, a, m in zip(table.inverse.tolist(), ds.interval.tolist(),
-                                               ds.kwh.tolist(), ls.attacked.tolist(),
-                                               ls.labels.tolist()))
+        yield "".join([f"{h}{a}{tail[m]}" for h, a, m in zip(heads, text, ls.labels.tolist())])

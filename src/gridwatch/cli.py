@@ -22,10 +22,12 @@ import dataclasses
 import datetime as dt
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .trees import (_predict_dataset, deserialize, serialize, to_text, train_mod
                     train_rep_tree)
 
 ENV_SEED = "GRIDWATCH_SEED"
+ROWS_PER_WRITE = 8192   # rows rendered into one string, so no file's whole text is held
 
 
 def _resolve_seed(args, config_seed: int | None = None) -> int:
@@ -67,6 +70,15 @@ def _write_csv(path: Path, rows) -> None:
 def _write_table(path: Path, header: list[str], records) -> None:
     """A CSV of dict records, one column per header key."""
     _write_csv(path, [header] + [[r[k] for k in header] for r in records])
+
+
+def float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64 in ``values``, rendering each distinct bit
+    pattern once (so ``-0.0`` and ``0.0`` stay apart)."""
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
+                              return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return [texts[i] for i in inverse.tolist()]
 
 
 def _missing(path: Path, what: str) -> None:
@@ -313,16 +325,57 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _write_alerts(path: Path, alerts) -> None:
-    """alerts.jsonl: one event per line, tagged with its stream's attack type.
+def alert_lines(alerts: list) -> Iterator[str]:
+    """The alerts.jsonl line of each (attack type, event), made lazily: the
+    event's fields and its stream's attack type as ``json.dumps(obj,
+    sort_keys=True, allow_nan=False)`` writes them, then a newline.
 
-    Strict JSON: a NaN or infinity raises ValueError instead of being written.
+    Strict JSON: a NaN or infinity in any alert raises ValueError at the
+    call, before any line is made. The strings are quoted once per distinct
+    (attack type, interval kind, kind) and the timestamp once per (date,
+    interval, interval kind).
     """
+    if not all(math.isfinite(v) for _, e in alerts
+               for v in (e.observed, e.predicted, e.threshold)):
+        raise ValueError("non-finite alert value: out of range for strict JSON")
+    quoted, stamps = {}, {}
+
+    def line(attack_type, e) -> str:
+        labels = (attack_type, e.interval_kind, e.kind)
+        if labels not in quoted:
+            quoted[labels] = tuple(map(json.dumps, labels))
+        attack, interval_kind, kind = quoted[labels]
+        key = (e.date, e.interval, e.interval_kind)
+        if key not in stamps:
+            stamps[key] = json.dumps(e.timestamp().isoformat())
+        meter = "null" if e.meter_id is None else int(e.meter_id)
+        return (f'{{"attack_type": {attack}, "interval": {int(e.interval)}, '
+                f'"interval_kind": {interval_kind}, "kind": {kind}, "meter_id": {meter}, '
+                f'"observed": {float(e.observed)!r}, "predicted": {float(e.predicted)!r}, '
+                f'"threshold": {float(e.threshold)!r}, "timestamp": {stamps[key]}}}\n')
+
+    return itertools.starmap(line, alerts)
+
+
+def _write_alerts(path: Path, alerts: list) -> None:
+    """alerts.jsonl: ``alert_lines``, ROWS_PER_WRITE lines per write. A NaN
+    or infinity raises ValueError before the file is opened, so no partial
+    file is left behind."""
+    lines = alert_lines(alerts)
     with open(path, "w") as fh:
-        for attack_type, event in alerts:
-            obj = event.to_json_obj()
-            obj["attack_type"] = attack_type
-            fh.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
+        while chunk := "".join(itertools.islice(lines, ROWS_PER_WRITE)):
+            fh.write(chunk)
+
+
+def _write_roc(path: Path, fpr: np.ndarray, tpr: np.ndarray) -> None:
+    """A ROC curve CSV: the header and the ``repr`` of each point's rates,
+    the text ``csv.writer`` writes for them, ROWS_PER_WRITE rows per write."""
+    with open(path, "w", newline="") as fh:
+        fh.write("fpr,tpr\r\n")
+        for lo in range(0, len(fpr), ROWS_PER_WRITE):
+            rows = zip(float_texts(fpr[lo:lo + ROWS_PER_WRITE]),
+                       float_texts(tpr[lo:lo + ROWS_PER_WRITE]))
+            fh.write("".join([f"{f},{t}\r\n" for f, t in rows]))
 
 
 def _load_model(models_dir: Path, level: str, meter_id):
@@ -354,20 +407,19 @@ def cmd_simulate(args) -> int:
 
     result = scn.run_scenario(cfg, args.benchmark_meters)
 
+    t0 = time.perf_counter()
     write_json(out / "report.json", result.report)
     _write_csv(out / "detection_summary.csv", scn.summary_rows(result.report))
     for (level, attack_type), (fpr, tpr) in sorted(result.roc.items()):
-        # streamed: a pooled curve has one point per distinct score
-        rows = zip(map(repr, fpr.tolist()), map(repr, tpr.tolist()))
-        _write_csv(out / f"roc_{level.lower()}_{attack_type}.csv",
-                   itertools.chain([["fpr", "tpr"]], rows))
+        _write_roc(out / f"roc_{level.lower()}_{attack_type}.csv", fpr, tpr)
     _write_alerts(out / "alerts.jsonl", result.alerts)
     _write_corpora(out, result.corpus)
 
     _write_table(out / "training_report.csv", scn.TRAINING_REPORT_HEADER, result.training_rows)
     _write_table(out / "model_benchmark.csv", scn.BENCHMARK_HEADER, result.benchmark_rows)
 
-    write_manifest(out, "simulate", cfg.to_json_obj(), cfg.seed, [source], result.timings)
+    write_manifest(out, "simulate", cfg.to_json_obj(), cfg.seed, [source],
+                   {**result.timings, "write": time.perf_counter() - t0})
     sh_all = result.report["levels"]["SH"]["pooled"].get("all") or \
         next(iter(result.report["levels"]["SH"]["pooled"].values()), {})
     print(f"simulate: seed {cfg.seed}, {cfg.nb_sh} meter(s), {cfg.weeks} week(s); "

@@ -65,18 +65,6 @@ class AlertEvent:
         return dt.datetime.combine(
             self.date, dt.time((self.interval - 1) // 2, 30 * ((self.interval - 1) % 2)))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "meter_id": self.meter_id,
-            "timestamp": self.timestamp().isoformat(),
-            "interval_kind": self.interval_kind,
-            "interval": self.interval,
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "threshold": self.threshold,
-        }
-
 
 class _DetectorState:
     """State shared by both levels: the model, its pe margin and the order key."""

@@ -439,9 +439,13 @@ def test_corpus_equals_per_row_reference(data, n_sh, with_nbh, mix, seed):
     for level, meter_id, kind in levels:
         dates, intervals = data.draw(_series_rows(kind))
         order = np.random.default_rng(seed).permutation(len(dates))
-        datasets[meter_id] = _series(kind, meter_id, dates, intervals,
-                                     np.random.default_rng(seed).uniform(0.0, 3.0, len(dates))
-                                     ).data.take(order)
+        values = np.random.default_rng(seed).uniform(0.0, 3.0, len(dates))
+        # zero bases of either sign: attacked rows whose value keeps the base's bits
+        if len(dates):
+            for i, zero in data.draw(st.lists(st.tuples(st.integers(0, len(dates) - 1),
+                                                        st.sampled_from([0.0, -0.0])))):
+                values[i] = zero
+        datasets[meter_id] = _series(kind, meter_id, dates, intervals, values).data.take(order)
     corpus = generate_corpus({m: ds for m, ds in datasets.items() if m is not None},
                              datasets.get(None), mix, seed)
 

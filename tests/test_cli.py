@@ -1,15 +1,21 @@
 import collections
 import csv
+import dataclasses
 import datetime as dt
+import io
 import gzip
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gridwatch import cli
-from gridwatch.cli import _write_alerts, main
+from gridwatch.cli import _write_alerts, _write_roc, alert_lines, float_texts, main
 from gridwatch.detect import DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent
 from gridwatch.ingest import read_dataset_csv, split_train_validation, write_dataset_csv
 from gridwatch.manifest import read_manifest, verify_manifest, write_json, write_manifest
@@ -483,6 +489,13 @@ def test_simulate_benchmark_model_tree_rows_are_the_trained_models(tmp_path):
     assert "benchmark" in read_manifest(run)["stage_seconds"]
 
 
+def test_simulate_manifest_times_the_write_phase(small_run):
+    stages = read_manifest(small_run)["stage_seconds"]
+    assert set(stages) == {"ingest", "build", "clean", "split", "train", "attack", "predict",
+                           "detect", "score", "benchmark", "write"}
+    assert stages["write"] >= 0.0
+
+
 def test_report_missing_run_is_user_error(tmp_path):
     assert main(["report", "--run", str(tmp_path)]) == 2
 
@@ -537,6 +550,90 @@ def test_json_outputs_refuse_non_finite_numbers(tmp_path, bad):
     with pytest.raises(ValueError):
         write_manifest(tmp_path / "run", "simulate", {"factor": bad}, 7, [])
     assert not (tmp_path / "run" / "manifest.json").exists()
-    event = AlertEvent("nacr", None, dt.date(2009, 1, 5), 3, "slot", bad, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        _write_alerts(tmp_path / "alerts.jsonl", [("none", event)])
+    good = AlertEvent("nacr", None, dt.date(2009, 1, 5), 3, "slot", 1.5, 0.5, 0.1)
+    for field in ("observed", "predicted", "threshold"):
+        event = dataclasses.replace(good, date=dt.date(2009, 1, 6), **{field: bad})
+        with pytest.raises(ValueError):
+            _write_alerts(tmp_path / "alerts.jsonl", [("none", good), ("t1", event)])
+        assert not (tmp_path / "alerts.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# run-directory writers against the csv.writer / json.dumps references they replace
+
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+               2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+               0.1, 1e-05, 1e16, 123456789.125]
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(values=hnp.arrays(np.float64, st.integers(0, 40),
+                         elements=st.one_of(st.sampled_from(EDGE_FLOATS),
+                                            st.floats(allow_subnormal=True))),
+       start=st.integers(0, 3), step=st.integers(1, 3))
+@example(values=np.array([0.0, -0.0, 0.0]), start=0, step=1)
+@example(values=np.array([-0.0, 0.0]), start=0, step=1)
+def test_float_texts_equals_repr(values, start, step):
+    view = values[start::step]
+    assert float_texts(view) == [repr(x) for x in view.tolist()]
+
+
+def _reference_roc_csv(fpr, tpr) -> bytes:
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["fpr", "tpr"])
+    for row in zip(map(repr, fpr.tolist()), map(repr, tpr.tolist())):
+        writer.writerow(row)
+    return fh.getvalue().encode()
+
+
+@pytest.mark.parametrize("points", [1, 8191, 8192, 8193, 20000])
+def test_roc_csv_equals_csv_writer_text(tmp_path, points):
+    rng = np.random.default_rng(points)
+    fpr = np.sort(np.round(rng.uniform(0.0, 1.0, points), 3))   # runs of repeated rates
+    tpr = np.sort(rng.uniform(0.0, 1.0, points))
+    tpr[:: 7] = rng.choice(EDGE_FLOATS, len(tpr[:: 7]))
+    _write_roc(tmp_path / "roc.csv", fpr, tpr)
+    assert (tmp_path / "roc.csv").read_bytes() == _reference_roc_csv(fpr, tpr)
+
+
+def test_small_run_roc_csvs_equal_csv_writer_text(small_run):
+    paths = sorted(small_run.glob("roc_*.csv"))
+    assert len(paths) == 2      # SH and NBH, t3 only
+    for path in paths:
+        with open(path, newline="") as fh:
+            points = list(csv.DictReader(fh))
+        fpr = np.array([float(r["fpr"]) for r in points])
+        tpr = np.array([float(r["tpr"]) for r in points])
+        assert len(points) > 1
+        assert path.read_bytes() == _reference_roc_csv(fpr, tpr)
+
+
+def _reference_alert_line(attack_type, e) -> str:
+    obj = {"kind": e.kind, "meter_id": e.meter_id, "timestamp": e.timestamp().isoformat(),
+           "interval_kind": e.interval_kind, "interval": e.interval, "observed": e.observed,
+           "predicted": e.predicted, "threshold": e.threshold, "attack_type": attack_type}
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
+@st.composite
+def _alerts(draw):
+    kind = draw(st.sampled_from(["hour", "slot"]))
+    value = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats().map(np.float64))
+    return (draw(st.one_of(st.sampled_from(["none", "t1", "t2", "t3", "t4"]), st.text())),
+            AlertEvent(draw(st.sampled_from(["sh_anomaly", "nacr", "attack_confirmed"])),
+                       draw(st.one_of(st.none(), st.integers(0, 2**40))), draw(st.dates()),
+                       draw(st.integers(1, 24 if kind == "hour" else 48)), kind,
+                       draw(value), draw(value), draw(value)))
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(alerts=st.lists(_alerts(), max_size=6))
+def test_alert_lines_equal_json_dumps(alerts):
+    try:
+        want = [_reference_alert_line(t, e) for t, e in alerts]
+    except ValueError:          # a NaN or infinity: refused before any line is made
+        with pytest.raises(ValueError):
+            alert_lines(alerts)
+        return
+    assert list(alert_lines(alerts)) == want
