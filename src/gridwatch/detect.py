@@ -48,7 +48,7 @@ def check_counter(nbr_incr: int, n_window: int, mode: str) -> None:
         raise ValueError(f"nbr_incr must be >= 0, not {nbr_incr!r}")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class AlertEvent:
     kind: str                # "sh_anomaly" | "nacr" | "attack_confirmed"
     meter_id: int | None

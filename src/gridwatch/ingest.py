@@ -98,7 +98,8 @@ class FeatureVector(NamedTuple):
 
     A named tuple: immutable, hashable, cheap to build once per streamed
     observation, and equal to the plain tuple of its fields in this order.
-    ``fv[1:6]`` is its calendar key."""
+    Its interval, day period, day type and month give its calendar key
+    code; its season is its month's, as ``feature_vector`` makes it."""
 
     date: dt.date
     interval: int        # hour 1..24 (SH) or slot 1..48 (NBH)
@@ -242,12 +243,10 @@ class Dataset:
                 "month": per_row[:, 1], "season": per_row[:, 2]}
 
     def calendar_key(self) -> np.ndarray:
-        """Per row, one integer code of its calendar key (interval, day
-        period, day type, month, season); codes increase with the interval
-        first. Rows with equal codes have equal calendar attributes."""
+        """Per row, its calendar key code (``calendar_code``): its index into
+        a model's prediction table. Codes increase with the interval first."""
         cal = self.calendar()
-        return ((((self.interval * 2 + cal["day_period"]) * 2 + cal["day_type"]) * 13
-                 + cal["month"]) * 4 + cal["season"])
+        return calendar_code(self.interval, cal["day_period"], cal["day_type"], cal["month"])
 
     @property
     def rows(self) -> list[FeatureVector]:
@@ -344,6 +343,22 @@ def _day_period(interval: int, kind: str) -> str:
 
     Cached: only the 72 valid (interval, kind) pairs return, the rest raise."""
     return "day" if DAY_START_HOUR <= clock_hour(interval, kind) <= DAY_END_HOUR else "night"
+
+
+def calendar_code(interval, day_period, day_type, month):
+    """The code of a calendar key, of ints or int arrays (day period and
+    day type as codes; the season follows from the month): row k of
+    ``calendar_grid`` has code k."""
+    return ((interval * 2 + day_period) * 2 + day_type) * 12 + month - 1
+
+
+def calendar_grid() -> dict[str, np.ndarray]:
+    """The attribute codes of every calendar key, as ``Dataset.calendar``
+    gives them plus the interval, in code order (interval 0 is no reading's)."""
+    interval, period, day_type, month = np.indices((SLOTS_PER_DAY + 1, 2, 2, 12)).reshape(4, -1)
+    season = np.array([SEASONS.index(season_of_month(m)) for m in range(1, 13)])[month]
+    return {"interval": interval, "day_period": period, "day_type": day_type,
+            "month": month + 1, "season": season}
 
 
 def feature_vector(date: dt.date, interval: int, kind: str, consumption: float) -> FeatureVector:

@@ -29,37 +29,36 @@ matrices with one batched ``eigh`` pseudo-inverse. Only summation order
 differs from row-by-row learning: means and predictions move in the last
 bits.
 
-Every prediction is one tree walk, ``_predict_encoded``: it routes rows of
-encoded calendar attributes, as columns, with ``_split_indices`` (a code
-a split never saw follows the child that held more training rows), applies
-the leaf models and smoothing column by column, and clamps at 0.
-``_predict_dataset`` and ``evaluate`` walk each distinct key once. The
-per-observation ``predict`` memoises its walks per calendar key on the
-model: never serialized, empty after ``deserialize``, and exact as long as
-a model is not mutated after its first ``predict`` (nothing here does so;
-two threads that miss on one key store the same value).
+A prediction depends only on the calendar key, so a fitted tree predicts
+through one table, ``TreeModel.table``, indexed by ``ingest.calendar_code``.
+One tree walk, ``_predict_encoded``, compiles it over ``calendar_grid``: it
+routes rows of encoded calendar attributes, as columns, with
+``_split_indices`` (a code a split never saw follows the child that held
+more training rows), applies the leaf models and smoothing column by
+column, and clamps at 0. ``predict``, ``_predict_dataset`` and ``evaluate``
+read the table, so a model must not be mutated after its first prediction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import logging
 import time
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ContractViolation, ModelDecodeError, TrainingError
-from .ingest import DAY_PERIODS, DAY_TYPES, SEASONS, Dataset, FeatureVector
-
-log = logging.getLogger(__name__)
+from .ingest import (DAY_PERIODS, DAY_TYPES, SEASONS, Dataset, FeatureVector, calendar_code,
+                     calendar_grid)
 
 MAGIC = b"AMIM"
 FORMAT_VERSION = 1
 
 CATEGORICAL_ATTRIBUTES = frozenset({"season"})
-_CATEGORIES = {"day_period": DAY_PERIODS, "day_type": DAY_TYPES, "season": SEASONS}
+# a day period's or day type's code: its index in DAY_PERIODS or DAY_TYPES
+_CODES = {name: i for names in (DAY_PERIODS, DAY_TYPES) for i, name in enumerate(names)}
 
 _EPS_GAIN = 1e-12
 _TIE = 1e-9          # gains this close, relative to the node's SD, tie
@@ -117,6 +116,11 @@ Node = Union[Leaf, Split]
 
 @dataclasses.dataclass
 class TreeModel:
+    """A fitted tree. For prediction it is ``table``, its prediction for
+    every calendar key code, compiled on first use by one walk of the
+    calendar grid: derived state, never serialized, outside eq and repr,
+    and compiled anew for a ``dataclasses.replace`` copy."""
+
     kind: str                        # "rep_tree" | "model_tree"
     root: Node
     attributes: tuple[str, ...]
@@ -125,31 +129,25 @@ class TreeModel:
     trained_rmse: float = 0.0        # the detector threshold margin (PE)
     trained_mae: float = 0.0
     training_meta: dict = dataclasses.field(default_factory=dict)
-    # calendar key -> prediction, filled by predict; never serialized
-    _predictions: dict = dataclasses.field(default_factory=dict, init=False,
-                                           compare=False, repr=False)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        return _predict_encoded(self, _encode(calendar_grid(), self.attributes))
 
 
 # ---------------------------------------------------------------------------
 # encoding
 
-def encode_value(attr: str, fv: FeatureVector) -> float:
-    """The code of one attribute of a vector: the interval and month as
-    numbers, a category as its index in DAY_PERIODS, DAY_TYPES or SEASONS."""
-    if attr in ("interval", "month"):
-        return float(getattr(fv, attr))
-    if attr in _CATEGORIES:
-        return float(_CATEGORIES[attr].index(getattr(fv, attr)))
-    raise ValueError(f"unknown attribute {attr!r}")
-
-
 def encode_matrix(ds: Dataset, attributes: Sequence[str] | None = None) -> np.ndarray:
     """One row per dataset row, one column per attribute (``ds.attributes``
-    unless given); entry (i, j) equals ``encode_value`` of attribute j on
-    row i's vector."""
-    attributes = ds.attributes if attributes is None else attributes
-    codes = {"interval": ds.interval, **ds.calendar()}
-    out = np.empty((len(ds), len(attributes)))
+    unless given): the interval and month as numbers, a category as its
+    index in DAY_PERIODS, DAY_TYPES or SEASONS."""
+    return _encode({"interval": ds.interval, **ds.calendar()},
+                   ds.attributes if attributes is None else attributes)
+
+
+def _encode(codes: dict[str, np.ndarray], attributes: Sequence[str]) -> np.ndarray:
+    out = np.empty((codes["interval"].size, len(attributes)))
     for j, attr in enumerate(attributes):
         if attr not in codes:
             raise ValueError(f"unknown attribute {attr!r}")
@@ -220,12 +218,9 @@ def _split_indices(split: Split, X: np.ndarray,
         mask = v <= split.threshold
     else:
         mask = np.isin(v, list(split.subset))
-        unseen = ~mask & ~np.isin(v, list(split.seen))
-        if unseen.any():
-            log.debug("routing %d unseen %s code(s) to the majority child",
-                      int(unseen.sum()), split.attribute)
-            if split.left.n >= split.right.n:
-                mask |= unseen
+        unseen = ~np.isin(v, list(split.seen))
+        if unseen.any() and split.left.n >= split.right.n:
+            mask |= unseen
     return idx[mask], idx[~mask]
 
 
@@ -590,24 +585,16 @@ def _stamp_errors(model: TreeModel, train: Dataset, valid: Dataset | None,
 # prediction and evaluation
 
 def predict(model: TreeModel, fv: FeatureVector) -> float:
-    """The prediction for one vector, clamped at 0.
-
-    The result is memoised on the model per calendar key, ``fv[1:6]``:
-    (interval, day_period, day_type, month, season). The key holds every
-    attribute the tree walk reads, so the memo is exact. A miss walks the
-    one encoded row.
-    """
-    key = fv[1:6]
-    value = model._predictions.get(key)
-    if value is None:
-        x = np.array([[encode_value(attr, fv) for attr in model.attributes]])
-        value = model._predictions[key] = float(_predict_encoded(model, x)[0])
-    return value
+    """The prediction for one vector: its calendar key's entry in
+    ``model.table``. Its season is taken to be its month's, as
+    ``feature_vector``, ``Dataset.from_rows`` and ``read_dataset_csv`` make it."""
+    return model.table.item(calendar_code(fv.interval, _CODES[fv.day_period],
+                                          _CODES[fv.day_type], fv.month))
 
 
 def _predict_encoded(model: TreeModel, X: np.ndarray) -> np.ndarray:
-    """The one tree walk: the prediction of every row of X, which holds
-    one encoded column per model attribute.
+    """The one tree walk, which compiles ``TreeModel.table``: the
+    prediction of every row of X, one encoded column per model attribute.
 
     Rows are routed by ``_split_indices`` and empty branches are skipped.
     A model-tree leaf applies its linear model column by column in
@@ -642,13 +629,10 @@ def _predict_encoded(model: TreeModel, X: np.ndarray) -> np.ndarray:
 
 
 def _predict_dataset(model: TreeModel, ds: Dataset) -> np.ndarray:
-    """The prediction of every row of a dataset, one walk per calendar key.
-
-    Rows are encoded by the model's attributes: a replay stream's dataset
-    may carry none.
-    """
-    _, first, inverse = np.unique(ds.calendar_key(), return_index=True, return_inverse=True)
-    return _predict_encoded(model, encode_matrix(ds.take(first), model.attributes))[inverse]
+    """The prediction of every row of a dataset: its calendar key's entry
+    in ``model.table``, whatever attributes the dataset carries (a replay
+    stream's carries none)."""
+    return model.table[ds.calendar_key()]
 
 
 def evaluate(model: TreeModel, valid: Dataset) -> dict:

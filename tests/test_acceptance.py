@@ -17,13 +17,14 @@ import pytest
 
 from gridwatch.cli import main
 from gridwatch.detect import ShDetectorState, decide, sh_step
-from gridwatch.ingest import (SH_ATTRIBUTES, Dataset, build_sh_dataset, clean_dataset,
-                              feature_vector, split_train_validation)
+from gridwatch.ingest import (DAY_PERIODS, DAY_TYPES, SEASONS, SH_ATTRIBUTES, Dataset,
+                              build_sh_dataset, clean_dataset, feature_vector,
+                              split_train_validation)
 from gridwatch.metrics import rates_from_counts
 from gridwatch.scenario import ScenarioConfig, run_scenario, train_sh_fleet
 from gridwatch.synth import SynthProfile, synth_readings
 from gridwatch.trees import (Leaf, TreeModel, TreeParams, _grow, _key_table, encode_matrix,
-                             encode_value, train_model_tree, train_rep_tree)
+                             train_model_tree, train_rep_tree)
 
 DESK = ScenarioConfig(nb_sh=50, weeks=16, seed=7, jobs=1)
 
@@ -77,6 +78,17 @@ def test_criterion_01_split_oracle():
           f"{checked} random datasets matched brute force in {took:.2f}s (< 10s)")
 
 
+def _encode_value(attr, fv):
+    """The code of one attribute of a vector: the interval and month as
+    numbers, a category as its index in DAY_PERIODS, DAY_TYPES or SEASONS."""
+    if attr in ("interval", "month"):
+        return float(getattr(fv, attr))
+    categories = {"day_period": DAY_PERIODS, "day_type": DAY_TYPES, "season": SEASONS}
+    if attr in categories:
+        return float(categories[attr].index(getattr(fv, attr)))
+    raise ValueError(f"unknown attribute {attr!r}")
+
+
 def _brute_force_gain(rows, attributes, min_instances):
     y = [r.consumption for r in rows]
     n = len(y)
@@ -92,7 +104,7 @@ def _brute_force_gain(rows, attributes, min_instances):
 
     best = 0.0
     for attr in attributes:
-        values = [encode_value(attr, r) for r in rows]
+        values = [_encode_value(attr, r) for r in rows]
         distinct = sorted(set(values))
         if attr == "season":
             for size in range(1, len(distinct)):

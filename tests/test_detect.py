@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import datetime as dt
 import itertools
 import json
+import pickle
 from collections import deque
 from collections.abc import Sized
 
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch.cli import main
-from gridwatch.detect import (DEFAULT_N_WINDOW, DecisionMaker, NbhDetectorState,
+from gridwatch.detect import (DEFAULT_N_WINDOW, AlertEvent, DecisionMaker, NbhDetectorState,
                               ShDetectorState, decide, nbh_step, sh_step)
 from gridwatch.errors import SequencingError
 from gridwatch.ingest import NBH_ATTRIBUTES, SH_ATTRIBUTES, feature_vector
@@ -232,6 +234,17 @@ def test_state_is_bounded_by_window(level):
     sizes = {name: len(value) for name, value in vars(state).items()
              if isinstance(value, Sized) and not isinstance(value, str)}
     assert max(sizes.values()) <= DEFAULT_N_WINDOW, sizes
+
+
+def test_alert_event_is_slotted():
+    # a desk run holds about 18,000 events: no per-event __dict__
+    event = nbh_step(NbhDetectorState(leaf_model(240.0, pe=48.0, attributes=NBH_ATTRIBUTES)),
+                     slot_fv(0, 300.0))
+    assert type(event) is AlertEvent and not hasattr(event, "__dict__")
+    with pytest.raises(AttributeError):
+        event.note = "extra"
+    assert pickle.loads(pickle.dumps(event)) == event
+    assert dataclasses.replace(event, observed=1.0).observed == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def _replay_oracle(cfg, corpus, sh_models, nbh_model):
 def test_predict_stage_matches_per_row_predict(detect_inputs):
     """The predict stage equals the per-row public predict on every row of
     every base series, in series order. The reference runs on copies of the
-    models with empty memos."""
+    models, which compile their own tables."""
     cfg, corpus, sh_models, nbh_model, splits = detect_inputs
     predictions = scn._predict(corpus, sh_models, nbh_model)
     bases = {(v.level, v.labeled.base.meter_id): v.labeled.base for v in corpus.variants}

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridwatch.errors import ContractViolation, ModelDecodeError, TrainingError
-from gridwatch.ingest import (NBH_ATTRIBUTES, SEASONS, SH_ATTRIBUTES, Dataset,
-                              FeatureVector, feature_vector, season_of_month)
+from gridwatch.ingest import (DAY_PERIODS, DAY_TYPES, NBH_ATTRIBUTES, SEASONS, SH_ATTRIBUTES,
+                              Dataset, FeatureVector, day_code_of, feature_vector,
+                              season_of_month)
 from gridwatch.trees import (CATEGORICAL_ATTRIBUTES, Leaf, LinearModel, Split, TreeModel,
                              TreeParams, _grow, _key_table, _predict_dataset,
                              _predict_encoded, _rep_prune, _sd, _split_indices,
                              _subtree_sse, count_leaves, deserialize, design_columns,
-                             design_matrix, encode_matrix, encode_value, evaluate, predict,
+                             design_matrix, encode_matrix, evaluate, predict,
                              sd_reduction, serialize, to_text, train_model_tree,
                              train_rep_tree, tree_depth)
 
@@ -25,6 +26,17 @@ ATTRS = SH_ATTRIBUTES
 
 # ---------------------------------------------------------------------------
 # reference: the per-row walk, node by node, that the columnar walk replaced
+
+def encode_value(attr, fv):
+    """The code of one attribute of a vector: the interval and month as
+    numbers, a category as its index in DAY_PERIODS, DAY_TYPES or SEASONS."""
+    if attr in ("interval", "month"):
+        return float(getattr(fv, attr))
+    categories = {"day_period": DAY_PERIODS, "day_type": DAY_TYPES, "season": SEASONS}
+    if attr in categories:
+        return float(categories[attr].index(getattr(fv, attr)))
+    raise ValueError(f"unknown attribute {attr!r}")
+
 
 def encode_row(fv, attributes):
     return np.array([encode_value(attr, fv) for attr in attributes])
@@ -654,14 +666,16 @@ def cache_models():
 
 
 def _every_calendar_key(kind):
-    """One vector per (interval, day period, day type, month, season),
-    inconsistent combinations included."""
+    """One vector per calendar key: every interval, day type and month, as
+    ``feature_vector`` builds it (a vector whose season disagrees with its
+    month is outside ``predict``'s domain)."""
     top = 24 if kind == "hour" else 48
-    date = dt.date(2009, 1, 5)
-    return [FeatureVector(date, interval, period, day_type, month, season, 0.0)
-            for interval in range(1, top + 1) for period in ("day", "night")
-            for day_type in ("weekday", "weekend") for month in range(1, 13)
-            for season in SEASONS]
+    week = [dt.date(2009, month, 1) + dt.timedelta(days=d)
+            for month in range(1, 13) for d in range(7)]
+    dates = {(date.month, date.weekday() >= 5): date for date in week}
+    assert len(dates) == 24
+    return [feature_vector(date, interval, kind, 0.0)
+            for date in dates.values() for interval in range(1, top + 1)]
 
 
 def test_cache_models_split_and_smooth(cache_models):
@@ -673,7 +687,7 @@ def test_cache_models_split_and_smooth(cache_models):
                        for fv in _every_calendar_key(kind))
 
 
-def test_feature_vector_is_a_frozen_tuple_whose_calendar_is_the_memo_key():
+def test_feature_vector_is_a_frozen_tuple_whose_calendar_is_the_table_key():
     fv = feature_vector(dt.date(2009, 3, 7), 14, "hour", 1.25)
     assert FeatureVector._fields == ("date", "interval", "day_period", "day_type", "month",
                                      "season", "consumption")
@@ -687,17 +701,19 @@ def test_feature_vector_is_a_frozen_tuple_whose_calendar_is_the_memo_key():
     assert {fv, fv._replace(consumption=1.25), fv._replace(consumption=2.0)} == \
         {fv, fv._replace(consumption=2.0)}
 
-    # the predict memo holds exactly the 5-tuples (interval, day_period,
-    # day_type, month, season) that it held when they were built field by field
+    # predict reads one table entry per 5-tuple (interval, day_period,
+    # day_type, month, season), whatever the date and consumption
     model = constant_leaf_model(0.5, attributes=NBH_ATTRIBUTES)
+    model.table = np.arange(float(model.table.size))   # each entry its own index
     vectors = [feature_vector(dt.date(2009, 1, 5) + dt.timedelta(days=d), slot, "slot", 0.0)
                for d in range(0, 360, 9) for slot in (1, 14, 15, 44, 48)]
+    entries = {}
     for vector in vectors:
-        predict(model, vector)
-        predict(model, vector._replace(consumption=3.0))
-    old_keys = {(v.interval, v.day_period, v.day_type, v.month, v.season) for v in vectors}
-    assert set(model._predictions) == old_keys
-    assert all(type(key) is tuple for key in model._predictions)
+        entry = predict(model, vector)
+        assert predict(model, vector._replace(consumption=3.0)) == entry
+        entries.setdefault(vector[1:6], set()).add(entry)
+    assert all(len(found) == 1 for found in entries.values())
+    assert len(set().union(*entries.values())) == len(entries)
 
 
 @pytest.mark.parametrize("name", CACHE_MODELS)
@@ -707,15 +723,15 @@ def test_cached_predict_equals_uncached_walk(cache_models, name):
     blob = serialize(model)
     for fv in vectors:
         assert bits(predict(model, fv)) == bits(reference_predict(model, fv))
-    assert len(model._predictions) == len(vectors)
+    table = model.table
     for fv in reversed(vectors):
         assert bits(predict(model, fv._replace(consumption=9.0))) \
             == bits(reference_predict(model, fv))
-    assert len(model._predictions) == len(vectors)
+    assert model.table is table and table.shape == (2352,)   # compiled once
     assert serialize(model) == blob
 
     back = deserialize(blob)
-    assert back._predictions == {}
+    assert "table" not in vars(back)
     pickled = pickle.loads(pickle.dumps(model))
     for fv in vectors:
         expected = bits(reference_predict(model, fv))
@@ -725,16 +741,19 @@ def test_cached_predict_equals_uncached_walk(cache_models, name):
 
 @pytest.mark.parametrize("name", CACHE_MODELS)
 def test_predict_dataset_equals_reference_on_every_row(cache_models, name):
-    # a replay stream carries no attributes: rows are encoded by the model's;
-    # the batch walk neither reads nor fills the per-vector memo
+    # a replay stream carries no attributes; the dataset and per-vector
+    # paths read the one table, compiled on first use
     model, kind = cache_models[name]
     model = deserialize(serialize(model))
     level = "SH" if kind == "hour" else "NBH"
     rows = _patterned_rows(kind, 400, seed=11)
     stream = Dataset.from_rows(level, 1 if level == "SH" else None, rows, ())
+    assert "table" not in vars(model)
     got = _predict_dataset(model, stream)
+    table = vars(model)["table"]
     assert [bits(v) for v in got] == [bits(reference_predict(model, fv)) for fv in rows]
-    assert model._predictions == {}
+    assert [bits(predict(model, fv)) for fv in rows] == [bits(v) for v in got]
+    assert model.table is table
 
 
 def test_split_indices_sends_unseen_codes_to_the_majority_child():
@@ -808,9 +827,42 @@ def test_prediction_cache_is_per_model():
     a, b = constant_leaf_model(1.0), constant_leaf_model(2.0)
     fv = feature_vector(dt.date(2009, 1, 5), 3, "hour", 0.0)
     assert (predict(a, fv), predict(b, fv)) == (1.0, 2.0)
-    assert a == constant_leaf_model(1.0)      # the cache takes no part in equality
-    assert "_predictions" not in repr(a)
-    assert dataclasses.replace(a)._predictions == {}
+    assert a.table is not b.table
+    fresh = constant_leaf_model(1.0)
+    assert a == fresh                          # the table takes no part in equality
+    assert repr(a) == repr(fresh) and "table" not in repr(a)
+    assert serialize(a) == serialize(fresh)    # nor in the payload
+    assert "table" not in vars(dataclasses.replace(a))
+    assert predict(dataclasses.replace(a, root=Leaf(3.0, 1)), fv) == 3.0   # compiled anew
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(random_models(), st.data())
+def test_table_lookup_equals_walk_bit_for_bit(model, data):
+    """Random trees, whose splits leave months and seasons unseen, against
+    random dates over eleven years at every interval of the model's level."""
+    level, top = ("SH", 24) if model.attributes == SH_ATTRIBUTES else ("NBH", 48)
+    rows = data.draw(st.lists(st.tuples(st.dates(dt.date(2009, 1, 1), dt.date(2019, 12, 31)),
+                                        st.integers(1, top)), min_size=1, max_size=30))
+    ds = Dataset(level, 1 if level == "SH" else None,
+                 np.array([day_code_of(date) for date, _ in rows], dtype=np.int64),
+                 np.array([interval for _, interval in rows], dtype=np.int64),
+                 np.zeros(len(rows)), ())
+    want = _predict_encoded(model, encode_matrix(ds, model.attributes))
+    assert [bits(v) for v in model.table[ds.calendar_key()]] == [bits(v) for v in want]
+
+
+@pytest.mark.parametrize("year", [2012, 2013])   # a leap year and a common one
+def test_predict_reads_the_calendar_key_of_its_vector(year):
+    model = constant_leaf_model(0.5)
+    model.table = np.arange(float(model.table.size))   # each entry its own index
+    first = dt.date(year, 1, 1)
+    dates = [first + dt.timedelta(days=d) for d in range((dt.date(year + 1, 1, 1) - first).days)]
+    for kind, level, top in (("hour", "SH", 24), ("slot", "NBH", 48)):
+        rows = [feature_vector(date, interval, kind, 0.0)
+                for date in dates for interval in range(1, top + 1)]
+        keys = Dataset.from_rows(level, 1 if level == "SH" else None, rows, ()).calendar_key()
+        assert [predict(model, fv) for fv in rows] == keys.tolist()
 
 
 # ---------------------------------------------------------------------------
