@@ -23,7 +23,8 @@ optional line break at the end) is split and converted in bulk with the
 same ``int``/``float`` calls as the per-line path; a chunk with any other
 line, or with a meter id, slot or day code the per-line checks would
 reject, goes through the per-line path, which reports every bad line as a
-``ParseIssue`` with its line number.
+``ParseIssue`` with its line number. ``wire_kwh`` gives, without any text,
+the kWh that a value's six-decimal raw line parses back to.
 """
 
 from __future__ import annotations
@@ -461,6 +462,34 @@ def _parse_lines(lines: Iterable[str], first_line_no: int = 1) -> tuple[Readings
     readings = Readings(np.array(meters, dtype=np.int64), np.array(days, dtype=np.int64),
                         np.array(slots, dtype=np.int64), np.array(kwhs, dtype=np.float64))
     return readings, issues
+
+
+def wire_kwh(kwh: np.ndarray) -> np.ndarray:
+    """The float64 that the raw-line text ``f"{k:.6f}"`` of each value
+    parses back to, without making the text.
+
+    ``k * 1e6`` is rounded half to even and divided by 1e6: an integer
+    below 2**52 over an exact power of ten rounds once, as ``float`` reads
+    the decimal (Clinger's fast path). The product itself is rounded, so a
+    value whose product lies within two ulps of a tie, whose product
+    reaches 2**52, or that is not finite takes the text route on its own.
+    """
+    kwh = np.asarray(kwh, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = kwh * 1e6
+        out = np.rint(p)
+        out /= 1e6
+        # in place, so at most four arrays of the input's size are alive
+        a = np.abs(p, out=p)            # np.spacing of a negative value is negative
+        gap = np.floor(a)
+        np.subtract(a, gap, out=gap)    # the fraction
+        gap -= 0.5
+        np.abs(gap, out=gap)            # its distance to a tie
+        slow = gap <= 2.0 * np.spacing(a)
+        slow |= ~(a < 2.0 ** 52)
+    for i in np.flatnonzero(slow).tolist():
+        out[i] = float(f"{kwh[i]:.6f}")
+    return out
 
 
 def open_raw(path: str | Path) -> Iterator[str]:

@@ -1,11 +1,12 @@
 """End-to-end scenario execution and evaluation reporting.
 
-A scenario is a pure function of its configuration: synthesize (or ingest)
-raw readings, build and clean SH/NBH datasets, split by weeks, train the
-per-home model trees and the neighborhood rep tree, inject the configured
-attack mix into the validation streams, replay them through the detectors
-and the decision maker, and score everything against the ground-truth
-labels.
+A scenario is a pure function of its configuration: synthesize readings
+(rounded to the six decimals of the raw wire format, as parsing their raw
+lines would give them) or parse a raw file, build and clean SH/NBH
+datasets, split by weeks, train the per-home model trees and the
+neighborhood rep tree, inject the configured attack mix into the
+validation streams, replay them through the detectors and the decision
+maker, and score everything against the ground-truth labels.
 
 Scoring is per interval. The score of an interval is its residual margin,
 observed - (predicted + pe); the confusion rates threshold that margin at
@@ -25,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from .detect import (DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent, DecisionMak
                      NbhDetectorState, ShDetectorState, check_counter, replay)
 from .errors import ScenarioError
 from .ingest import (Dataset, ParseResult, Readings, build_nbh_dataset, build_sh_dataset,
-                     clean_dataset, group_by_meter, open_raw, parse_raw, split_train_validation)
+                     clean_dataset, group_by_meter, open_raw, parse_raw, split_train_validation,
+                     wire_kwh)
 from .metrics import rates_from_counts, roc_curve
-from .synth import SynthProfile, synth_raw_lines
+from .synth import MAX_WEEKS, SynthProfile, synth_columns
 from .trees import (TreeModel, TreeParams, _predict_dataset, count_leaves, serialize,
                     train_model_tree, train_rep_tree, tree_depth)
 
@@ -72,6 +73,9 @@ class ScenarioConfig:
             raise ValueError("nb_sh must be >= 1")
         if self.weeks < 4:
             raise ValueError("weeks must be >= 4 (train/validation split needs 4 whole weeks)")
+        if self.weeks > MAX_WEEKS:
+            raise ValueError(f"weeks must be <= {MAX_WEEKS} (day codes end at 999), "
+                             f"not {self.weeks}")
         for key, proportion in self.mix.items():
             if key not in atk.ATTACK_TYPES:
                 raise ValueError(f"mix key {key!r} is not one of {', '.join(atk.ATTACK_TYPES)}")
@@ -275,11 +279,21 @@ def run_scenario(cfg: ScenarioConfig, benchmark_meters: int = 0) -> ScenarioResu
 
 
 def _ingest(cfg: ScenarioConfig) -> ParseResult:
+    """The raw file parsed, or the synthesized readings as they would parse.
+
+    A synthetic config skips the text: ``wire_kwh`` gives each kWh the value
+    its ``synth_raw_lines`` line parses back to, and every such line is
+    valid, so the result equals ``parse_raw(synth_raw_lines(...))`` with no
+    issues. A profile whose kWh overflow to infinity would write lines the
+    parser rejects, so it is refused.
+    """
     if cfg.raw_path:
-        lines: Iterable[str] = open_raw(cfg.raw_path)
-    else:
-        lines = synth_raw_lines(cfg.profile, cfg.nb_sh, cfg.weeks, cfg.seed)
-    return parse_raw(lines)
+        return parse_raw(open_raw(cfg.raw_path))
+    synth = synth_columns(cfg.profile, cfg.nb_sh, cfg.weeks, cfg.seed)
+    kwh = wire_kwh(synth.kwh)
+    if not np.isfinite(kwh).all():
+        raise ValueError("the synthesis profile gives non-finite kWh")
+    return ParseResult(dataclasses.replace(synth, kwh=kwh), [])
 
 
 def _build(readings: Readings, cfg: ScenarioConfig):

@@ -1,4 +1,4 @@
-"""Synthetic half-hourly load generator in the raw trial wire format.
+"""Synthetic half-hourly load generator, as columns or raw trial wire lines.
 
 Stands in for the request-only trial data so the full pipeline can run
 unattended: each meter gets a double-peaked daily shape (morning and
@@ -7,10 +7,13 @@ winter, a per-meter scale factor, and truncated Gaussian noise clamped at
 zero. With noise_sd = 0 every value is an exact deterministic function of
 (meter, day type, day of year, slot).
 
-Output is emitted as raw text lines (meter id, 5-digit code, kWh) so
-ingestion is exercised end to end; day codes start on a Monday
-so week-based splitting needs no alignment fudge. ``synth_columns`` gives
-the same readings as numpy columns, without the text round trip.
+``synth_columns`` gives the readings as numpy columns; ``synth_raw_lines``
+renders them in the raw wire format (meter id, 5-digit code, kWh to six
+decimals) for ``gridwatch ingest`` and the raw-file paths. A synthetic
+scenario skips that text and rounds the columns with ``ingest.wire_kwh``
+to the values the lines parse back to. Day codes start on a Monday so
+week-based splitting needs no alignment fudge, and end by code 999, the
+last day a raw timestamp holds (``MAX_WEEKS``).
 
 Values are computed one meter at a time as a (day, slot) array: the
 per-(weekend, slot) shape and the per-day seasonal factor come from the
@@ -31,6 +34,8 @@ from .ingest import SLOTS_PER_DAY, MeterReading, Readings, date_of, encode_times
 
 # day code 5 = Monday 2009-01-05
 DEFAULT_START_DAY_CODE = 5
+# a raw timestamp holds three day-code digits, so the last day is code 999
+MAX_WEEKS = (999 - DEFAULT_START_DAY_CODE + 1) // 7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +87,8 @@ def _day_codes(nb_sh: int, weeks: int) -> list[int]:
         raise ValueError("nb_sh must be >= 1")
     if weeks < 1:
         raise ValueError("weeks must be >= 1")
+    if weeks > MAX_WEEKS:
+        raise ValueError(f"weeks must be <= {MAX_WEEKS} (day codes end at 999), not {weeks}")
     return list(range(DEFAULT_START_DAY_CODE, DEFAULT_START_DAY_CODE + weeks * 7))
 
 

@@ -41,6 +41,7 @@ read the table, so a model must not be mutated after its first prediction.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import functools
 import json
@@ -118,8 +119,10 @@ Node = Union[Leaf, Split]
 class TreeModel:
     """A fitted tree. For prediction it is ``table``, its prediction for
     every calendar key code, compiled on first use by one walk of the
-    calendar grid: derived state, never serialized, outside eq and repr,
-    and compiled anew for a ``dataclasses.replace`` copy."""
+    calendar grid, and ``py_table``, a copy of its bits as a Python
+    ``array.array`` for per-vector lookups: derived state, never
+    serialized, outside eq and repr, and compiled anew for a
+    ``dataclasses.replace`` copy."""
 
     kind: str                        # "rep_tree" | "model_tree"
     root: Node
@@ -133,6 +136,12 @@ class TreeModel:
     @functools.cached_property
     def table(self) -> np.ndarray:
         return _predict_encoded(self, _encode(calendar_grid(), self.attributes))
+
+    @functools.cached_property
+    def py_table(self) -> array.array:
+        # one read returns a Python float for about 40% of ndarray.item's
+        # cost, at 8 bytes an entry, where a list of floats would hold 32
+        return array.array("d", self.table.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +595,10 @@ def _stamp_errors(model: TreeModel, train: Dataset, valid: Dataset | None,
 
 def predict(model: TreeModel, fv: FeatureVector) -> float:
     """The prediction for one vector: its calendar key's entry in
-    ``model.table``. Its season is taken to be its month's, as
+    ``model.py_table``. Its season is taken to be its month's, as
     ``feature_vector``, ``Dataset.from_rows`` and ``read_dataset_csv`` make it."""
-    return model.table.item(calendar_code(fv.interval, _CODES[fv.day_period],
-                                          _CODES[fv.day_type], fv.month))
+    return model.py_table[calendar_code(fv.interval, _CODES[fv.day_period],
+                                        _CODES[fv.day_type], fv.month)]
 
 
 def _predict_encoded(model: TreeModel, X: np.ndarray) -> np.ndarray:

@@ -251,6 +251,28 @@ def test_cli_chain_reproduces_simulate(corpora, trained, tmp_path):
     assert detected and detected == simulated
 
 
+def test_simulate_from_the_raw_file_equals_the_synthetic_run(tmp_path):
+    """A raw_path config over the synthesized raw lines gives the synthetic
+    run's artifacts byte for byte: the synthetic ingest skips only text."""
+    raw = tmp_path / "raw.txt"
+    raw.write_text("".join(f"{line}\n" for line in synth_raw_lines(SynthProfile(), 3, 6, 5)))
+    runs = {}
+    for name, extra in (("synthetic", {}), ("raw", {"raw_path": str(raw)})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"nb_sh": 3, "weeks": 6, "seed": 5, **extra}))
+        runs[name] = tmp_path / name
+        assert main(["simulate", "--config", str(config), "--out", str(runs[name]),
+                     "--benchmark-meters", "0"]) == 0
+    names = sorted(p.name for p in runs["synthetic"].iterdir()
+                   if p.name == "report.json" or p.suffix in (".csv", ".jsonl"))
+    assert {"report.json", "alerts.jsonl", "corpus_sh.csv", "corpus_nbh.csv"} <= set(names)
+    alerts = (runs["raw"] / "alerts.jsonl").read_text().splitlines()
+    assert {"sh_anomaly", "nacr"} <= {json.loads(line)["kind"] for line in alerts}
+    for name in names:
+        if name != "training_report.csv":   # train_seconds differ
+            assert (runs["raw"] / name).read_bytes() == (runs["synthetic"] / name).read_bytes(), name
+
+
 def test_detect_manifest_records_replayed_level(ingested, trained, tmp_path):
     out = tmp_path / "o"
     assert main(["detect", "--models", str(trained / "models"),
@@ -427,6 +449,7 @@ def test_simulate_bad_config_is_user_error(tmp_path):
     ({"n_window": 0}, "n_window"),
     ({"nbr_incr": 4}, "nbr_incr"),
     ({"nbr_incr": -1}, "nbr_incr"),
+    ({"weeks": 143}, "weeks"),
 ])
 def test_simulate_rejects_config_naming_key(tmp_path, capsys, extra, key):
     config_path = tmp_path / "cfg.json"

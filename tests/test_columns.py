@@ -2,12 +2,14 @@
 
 Each fast path is checked against the slow path it replaced, bit for bit:
 the chunked parser against the per-line parser, the array synthesis
-against the scalar ``expected_kwh`` formula, and the columnar build, clean
-and split against the row-by-row algorithms kept below as references.
+against the scalar ``expected_kwh`` formula, the columnar build, clean
+and split against the row-by-row algorithms kept below as references, and
+the synthetic ingest against parsing the synthesized raw lines.
 """
 
 import dataclasses
 import datetime as dt
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,8 @@ from hypothesis import strategies as st
 from gridwatch import ingest
 from gridwatch.ingest import (EPOCH, FeatureVector, MeterReading, build_nbh_dataset,
                               build_sh_dataset, clean_dataset, group_by_meter, parse_raw,
-                              split_train_validation)
+                              split_train_validation, wire_kwh)
+from gridwatch.scenario import ScenarioConfig, _ingest
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, SynthProfile, expected_kwh, meter_scale,
                              synth_columns, synth_raw_lines, synth_readings)
 
@@ -297,3 +300,67 @@ def test_parse_raw_reports_meter_ids_beyond_int64():
     assert result.readings.meter.tolist() == [2 ** 63 - 1]
     assert [(i.line_no, i.message) for i in result.issues] == [
         (2, "meter id 9223372036854775808 above 9223372036854775807")]
+
+
+# ---------------------------------------------------------------------------
+# (d) synthetic ingest: the columns equal the parsed raw lines
+
+def _nudged(k: float, step: int) -> float:
+    """k moved one ulp up (step 1) or down (-1), or kept (0)."""
+    return math.nextafter(k, step * math.inf) if step else k
+
+
+# exact ties: k * 1e6 is n + 0.5 exactly only for k an odd multiple of 1/128
+EXACT_TIES = st.integers(-2 ** 50, 2 ** 50).map(lambda j: (2 * j + 1) / 128)
+NEAR_TIES = st.integers(-10 ** 16, 10 ** 16).map(lambda n: (n + 0.5) / 1e6)
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 5e-7, -5e-7,
+                         2 ** 52 / 1e6, -2 ** 52 / 1e6, 2 ** 53 / 1e6, 1e300, 1.8e302,
+                         -1.8e302, 1.7976931348623157e308, float("inf"), float("-inf"),
+                         float("nan")])
+WIRE_VALUES = st.tuples(
+    st.one_of(st.floats(), st.floats(-1e-300, 1e-300), st.floats(-1e4, 1e4), EXACT_TIES,
+              NEAR_TIES, EDGES),
+    st.sampled_from([0, 0, -1, 1])).map(lambda kn: _nudged(*kn))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(WIRE_VALUES, min_size=1, max_size=40))
+def test_wire_kwh_equals_parsing_the_six_decimal_text(values):
+    """Both signs, zeros, subnormals, exact ties and ties one ulp off,
+    products at or beyond 2**52 and products that overflow, mixed in one
+    array so the fast and the per-value route interleave."""
+    want = [float(f"{k:.6f}") for k in values]
+    assert bits(wire_kwh(np.array(values))) == bits(want)
+
+
+def test_wire_kwh_rounds_exact_ties_half_to_even():
+    ties = np.array([1 / 128, 3 / 128, -1 / 128, 2 ** 40 + 1 / 128])
+    assert [f"{k:.6f}" for k in ties] == ["0.007812", "0.023438", "-0.007812",
+                                         "1099511627776.007812"]
+    assert bits(wire_kwh(ties)) == bits([0.007812, 0.023438, -0.007812, 1099511627776.007812])
+
+
+SYNTH_PROFILES = st.sampled_from([
+    SynthProfile(), PROFILES["noise_free"], PROFILES["clamped"],
+    dataclasses.replace(SynthProfile(), base_load=3e3),
+    dataclasses.replace(SynthProfile(), base_load=1e10),   # products beyond 2**52
+])
+
+
+@settings(max_examples=30, deadline=None)
+@given(SYNTH_PROFILES, st.integers(1, 3), st.integers(4, 6), st.integers(0, 2 ** 32))
+def test_synthetic_ingest_equals_parsing_the_raw_lines(profile, nb_sh, weeks, seed):
+    cfg = ScenarioConfig(nb_sh=nb_sh, weeks=weeks, seed=seed, profile=profile)
+    got = _ingest(cfg)
+    want = parse_raw(synth_raw_lines(profile, nb_sh, weeks, seed))
+    assert got.issues == want.issues == []
+    _same_parse((got.readings, got.issues), (want.readings, want.issues))
+    if profile is PROFILES["clamped"]:
+        assert (got.readings.kwh == 0.0).any()
+
+
+def test_synthetic_ingest_refuses_a_profile_that_overflows():
+    cfg = ScenarioConfig(nb_sh=1, weeks=4, profile=SynthProfile(base_load=float("inf")))
+    assert parse_raw(synth_raw_lines(cfg.profile, 1, 4, cfg.seed)).issues   # "inf" lines
+    with pytest.raises(ValueError, match="non-finite"):
+        _ingest(cfg)

@@ -14,8 +14,8 @@ from gridwatch.errors import ScenarioError
 from gridwatch.ingest import (EPOCH, build_sh_dataset, clean_dataset, feature_vector,
                               parse_raw, split_train_validation)
 from gridwatch.scenario import ScenarioConfig, benchmark_models, run_scenario, summary_rows
-from gridwatch.synth import (DEFAULT_START_DAY_CODE, SynthProfile, expected_kwh,
-                             meter_scale, synth_raw_lines, synth_readings)
+from gridwatch.synth import (DEFAULT_START_DAY_CODE, MAX_WEEKS, SynthProfile, expected_kwh,
+                             meter_scale, synth_columns, synth_raw_lines, synth_readings)
 from gridwatch.trees import TreeParams, predict, train_model_tree
 
 SMALL = ScenarioConfig(nb_sh=3, weeks=4, seed=3, jobs=1)
@@ -40,6 +40,17 @@ def test_synth_wire_format_parses_cleanly():
     assert not parsed.issues
     assert len(parsed.readings) == 2 * 4 * 7 * 48
     assert lines[0].split()[1].isdigit() and len(lines[0].split()[1]) == 5
+
+
+def test_synth_rejects_day_codes_past_999():
+    """Raw timestamps hold three day digits: the last synthesizable week
+    parses cleanly, one more week would write codes the parser rejects."""
+    lines = list(synth_raw_lines(SynthProfile(), 1, MAX_WEEKS, seed=2))
+    assert lines[-1].split()[1] == f"{(DEFAULT_START_DAY_CODE + 7 * MAX_WEEKS - 1) * 100 + 48}"
+    assert not parse_raw(lines).issues
+    for synthesize in (synth_columns, synth_raw_lines, synth_readings):
+        with pytest.raises(ValueError, match=f"weeks must be <= {MAX_WEEKS}"):
+            list(synthesize(SynthProfile(), 1, MAX_WEEKS + 1, seed=2))
 
 
 def test_synth_noise_free_is_deterministic_function():
@@ -294,6 +305,7 @@ def test_scenario_config_rejects_bad_mix_and_jobs(change):
     ({"nbr_incr": 4}, "nbr_incr"),
     ({"nbr_incr": -1}, "nbr_incr"),
     ({"nbr_incr": -1, "counter_mode": "lifetime"}, "nbr_incr"),
+    ({"weeks": MAX_WEEKS + 1}, "weeks"),
 ])
 def test_scenario_config_checks_every_knob_when_built(change, key):
     with pytest.raises(ValueError, match=key):

@@ -836,6 +836,24 @@ def test_prediction_cache_is_per_model():
     assert predict(dataclasses.replace(a, root=Leaf(3.0, 1)), fv) == 3.0   # compiled anew
 
 
+@pytest.mark.parametrize("name", CACHE_MODELS)
+def test_py_table_is_the_table_bit_for_bit_after_replace(cache_models, name):
+    """``predict`` reads ``py_table``, a copy derived like ``table``: a
+    replaced model compiles both anew."""
+    model, kind = cache_models[name]
+    vectors = _every_calendar_key(kind)
+    predict(model, vectors[0])
+    copy = dataclasses.replace(model, root=Leaf(3.0, 1))
+    assert "py_table" not in vars(copy)
+    for m in (model, copy):
+        assert [bits(predict(m, fv)) for fv in vectors] == \
+            [bits(reference_predict(m, fv)) for fv in vectors]
+        assert type(predict(m, vectors[0])) is float
+        assert m.py_table.tobytes() == m.table.tobytes()
+    assert set(copy.py_table) == {3.0} and model.py_table != copy.py_table
+    assert "py_table" not in repr(model)
+
+
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(random_models(), st.data())
 def test_table_lookup_equals_walk_bit_for_bit(model, data):
