@@ -168,10 +168,11 @@ def cmd_train(args) -> int:
     report_rows = []
 
     def save(stem: str, meter_key, model) -> None:
-        (models_dir / f"{stem}.amim").write_bytes(serialize(model))
+        payload = serialize(model)
+        (models_dir / f"{stem}.amim").write_bytes(payload)
         if args.dump_text:
             (models_dir / f"{stem}.txt").write_text(to_text(model) + "\n")
-        report_rows.append(scn.model_report_row(meter_key, model))
+        report_rows.append(scn.model_report_row(meter_key, model, len(payload)))
 
     if args.level in ("sh", "both"):
         stems = sorted(p.name[:-len("_train.csv")] for p in splits_dir.glob("sh_*_train.csv"))
@@ -303,12 +304,12 @@ def cmd_detect(args) -> int:
                                  n_window=args.n_window, mode=args.counter_mode)
                  if level == "sh" else NbhDetectorState(models[ds.meter_id]))
         try:
-            fired = replay(state, ds.dates(), ds.interval, ds.kwh,
-                           _predict_dataset(state.model, ds))
+            fired = replay(state, ds.day, ds.interval, ds.kwh, _predict_dataset(state.model, ds))
         except SequencingError as exc:
             raise UserInputError(f"bad stream in {stream_path}: {exc}") from exc
         alerts += [(attack_type, event) for _, event in fired]
-        hit = np.isin(np.arange(len(ds)), [i for i, _ in fired])
+        hit = np.zeros(len(ds), dtype=bool)
+        hit[[i for i, _ in fired]] = True
         suspects.append(ds.take(hit))
         benign.append(ds.take(~hit))
 

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SequencingError
-from .ingest import FeatureVector
+from .ingest import FeatureVector, date_of, day_code_of
 from .trees import TreeModel, predict
 
 DEFAULT_NBR_INCR = 2
@@ -153,19 +153,77 @@ def _nbh_decide(state: NbhDetectorState, date: dt.date, interval: int, observed:
     return None
 
 
-def replay(state: _DetectorState, dates: Sequence[dt.date], intervals: Sequence[int],
+def replay(state: _DetectorState, dates: Sequence[int], intervals: Sequence[int],
            observed: np.ndarray, predicted: np.ndarray) -> list[tuple[int, AlertEvent]]:
     """Replay a stream whose predictions are known through one detector.
 
-    Row i is judged exactly as ``sh_step`` (for an ``ShDetectorState``) or
-    ``nbh_step`` judges it. Returns (row index, event) of every alert, in
-    row order.
+    ``dates`` holds each row's day code (``Dataset.day``: day 1 is
+    ``ingest.EPOCH``). Row i is judged exactly as ``sh_step`` (for an
+    ``ShDetectorState``) or ``nbh_step`` judges it, and the state ends as
+    theirs would. Returns (row index, event) of every alert, in row order.
+
+    The whole stream is checked before any row is judged: a row that is not
+    after the one before it (the first, not after the state's last key)
+    raises the ``SequencingError`` that stepping would raise there, and
+    leaves the state as it was. Exceedances are one array comparison; the
+    window (or lifetime counter) runs over the exceeding rows only, and
+    events are made for the rows that fire.
     """
-    decide_row = _sh_decide if isinstance(state, ShDetectorState) else _nbh_decide
-    rows = zip(dates, np.asarray(intervals).tolist(), np.asarray(observed, dtype=float).tolist(),
-               np.asarray(predicted, dtype=float).tolist())
-    return [(i, event) for i, row in enumerate(rows)
-            if (event := decide_row(state, *row)) is not None]
+    days = np.asarray(dates, dtype=np.int64)
+    intervals = np.asarray(intervals, dtype=np.int64)
+    if not days.size:
+        return []
+    later = (days[1:] > days[:-1]) | ((days[1:] == days[:-1]) & (intervals[1:] > intervals[:-1]))
+    if state._last_key is not None:
+        last_day, last_interval = day_code_of(state._last_key[0]), state._last_key[1]
+        later = np.concatenate(([(int(days[0]), int(intervals[0])) > (last_day, last_interval)],
+                                later))
+    if not later.all():
+        row = int(np.argmin(later)) + (state._last_key is None)
+        before = state._last_key if row == 0 else _key(days, intervals, row - 1)
+        raise SequencingError(f"observation {_key(days, intervals, row)} not after {before}")
+
+    observed, predicted = np.asarray(observed, dtype=float), np.asarray(predicted, dtype=float)
+    exceeded = np.flatnonzero(observed > predicted + state.pe)
+    state._last_key = _key(days, intervals, days.size - 1)
+    if isinstance(state, NbhDetectorState):
+        fired, kind, meter_id, interval_kind = exceeded, "nacr", None, "slot"
+    else:
+        fired = np.array(_count(state, exceeded, days.size), dtype=np.int64)
+        kind, meter_id, interval_kind = "sh_anomaly", state.meter_id, "hour"
+    return [(i, AlertEvent(kind, meter_id, date_of(d), interval, interval_kind, o, p, state.pe))
+            for i, d, interval, o, p in zip(fired.tolist(), days[fired].tolist(),
+                                            intervals[fired].tolist(), observed[fired].tolist(),
+                                            predicted[fired].tolist())]
+
+
+def _key(days: np.ndarray, intervals: np.ndarray, row: int) -> tuple[dt.date, int]:
+    return date_of(int(days[row])), int(intervals[row])
+
+
+def _count(state: ShDetectorState, exceeded: np.ndarray, rows: int) -> list[int]:
+    """The rows of ``exceeded`` (row indices, increasing, of a stream of
+    ``rows`` rows) on which the home detector fires; updates its counter.
+
+    Every row shifts the window one place, so between two exceeding rows
+    the window shifts by their distance; a shift past the window clears it.
+    In lifetime mode the first exceedances raise the counter until it
+    passes ``nbr_incr``, and every later one fires."""
+    if state.mode == "lifetime":
+        spare = max(state.nbr_incr + 1 - state.lifetime_counter, 0)
+        state.lifetime_counter += min(spare, exceeded.size)
+        return exceeded[spare:].tolist()
+    bits, mask, width, nbr_incr = state.bits, state._mask, state.n_window, state.nbr_incr
+    shifts = np.minimum(np.diff(exceeded, prepend=-1), width)
+    fired = []
+    for row, shift in zip(exceeded.tolist(), shifts.tolist()):
+        bits = (bits << shift) & mask | 1
+        if bits.bit_count() > nbr_incr:
+            fired.append(row)
+            bits = 0
+    last = int(exceeded[-1]) if exceeded.size else -1
+    state.bits = (bits << min(rows - 1 - last, width)) & mask
+    return fired
 
 
 def decide(nacr: bool, nb_alert: int, nb_sh: int) -> bool:
@@ -174,7 +232,13 @@ def decide(nacr: bool, nb_alert: int, nb_sh: int) -> bool:
         raise ValueError("nb_sh must be >= 1")
     if not 0 <= nb_alert <= nb_sh:
         raise ValueError(f"nb_alert {nb_alert} outside [0, {nb_sh}]")
-    return nacr or nb_alert > nb_sh / 2
+    return bool(confirms(nacr, nb_alert, nb_sh))
+
+
+def confirms(nacr, nb_alert, nb_sh: int):
+    """The rule of ``decide`` without its input checks, elementwise over
+    arrays of ticks as well as on one tick."""
+    return nacr | (nb_alert > nb_sh / 2)
 
 
 class DecisionMaker:

@@ -473,13 +473,26 @@ def wire_kwh(kwh: np.ndarray) -> np.ndarray:
     the decimal (Clinger's fast path). The product itself is rounded, so a
     value whose product lies within two ulps of a tie, whose product
     reaches 2**52, or that is not finite takes the text route on its own.
+    The values are rounded ``_WIRE_BLOCK`` at a time, so the temporaries
+    stay small beside the input and the result.
     """
     kwh = np.asarray(kwh, dtype=np.float64)
+    out = np.empty_like(kwh)
+    flat, result = kwh.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _WIRE_BLOCK):
+        _wire_block(flat[start:start + _WIRE_BLOCK], result[start:start + _WIRE_BLOCK])
+    return out
+
+
+_WIRE_BLOCK = 1 << 16
+
+
+def _wire_block(kwh: np.ndarray, out: np.ndarray) -> None:
+    """``wire_kwh`` of one block of values, written to ``out``."""
     with np.errstate(over="ignore", invalid="ignore"):
         p = kwh * 1e6
-        out = np.rint(p)
+        np.rint(p, out=out)
         out /= 1e6
-        # in place, so at most four arrays of the input's size are alive
         a = np.abs(p, out=p)            # np.spacing of a negative value is negative
         gap = np.floor(a)
         np.subtract(a, gap, out=gap)    # the fraction
@@ -489,7 +502,6 @@ def wire_kwh(kwh: np.ndarray) -> np.ndarray:
         slow |= ~(a < 2.0 ** 52)
     for i in np.flatnonzero(slow).tolist():
         out[i] = float(f"{kwh[i]:.6f}")
-    return out
 
 
 def open_raw(path: str | Path) -> Iterator[str]:
@@ -591,19 +603,17 @@ def clean_dataset(ds: Dataset) -> tuple[Dataset, Dataset]:
     key = ds.calendar()["month"] * 100 + ds.interval
     order = np.argsort(key, kind="stable")
     bounds = _runs(key[order])
+    starts, sizes = bounds[:-1], np.diff(bounds)
     removed = np.zeros(len(ds), dtype=bool)
-    skipped_groups = 0
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        if b - a < 2:
-            skipped_groups += 1
-            continue
-        idx = order[a:b]
+    skipped_groups = int((sizes < 2).sum())
+    # the groups of one size as the rows of a matrix: numpy sums each row
+    # as it sums one group alone, so every mean and sigma keeps its bits
+    for size in np.unique(sizes[sizes >= 2]).tolist():
+        idx = order[starts[sizes == size, None] + np.arange(size)]
         values = ds.kwh[idx]
-        mu = float(values.mean())
-        sigma = float(values.std())
-        if sigma == 0.0:
-            continue
-        removed[idx] = np.abs(values - mu) > 3.0 * sigma
+        mu = values.mean(axis=1, keepdims=True)
+        sigma = values.std(axis=1, keepdims=True)
+        removed[idx] = (np.abs(values - mu) > 3.0 * sigma) & (sigma != 0.0)
 
     if skipped_groups:
         log.warning("clean_dataset: %d (month, interval) group(s) below 2 rows skipped",

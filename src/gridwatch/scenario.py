@@ -30,12 +30,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import attacks as atk
-from .detect import (DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent, DecisionMaker,
-                     NbhDetectorState, ShDetectorState, check_counter, replay)
+from .detect import (DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent, NbhDetectorState,
+                     ShDetectorState, check_counter, confirms, replay)
 from .errors import ScenarioError
 from .ingest import (Dataset, ParseResult, Readings, build_nbh_dataset, build_sh_dataset,
-                     clean_dataset, group_by_meter, open_raw, parse_raw, split_train_validation,
-                     wire_kwh)
+                     clean_dataset, date_of, group_by_meter, open_raw, parse_raw,
+                     split_train_validation, wire_kwh)
 from .metrics import rates_from_counts, roc_curve
 from .synth import MAX_WEEKS, SynthProfile, synth_columns
 from .trees import (TreeModel, TreeParams, _predict_dataset, count_leaves, serialize,
@@ -156,14 +156,16 @@ def _train_sh_worker(args) -> tuple[int, TreeModel]:
     return meter_id, train_model_tree(train, params, valid=valid)
 
 
-def model_report_row(meter_id, model: TreeModel) -> dict:
+def model_report_row(meter_id, model: TreeModel, model_bytes: int) -> dict:
+    """A model's row of the training and benchmark reports; ``model_bytes``
+    is the length of its ``serialize`` payload."""
     return {
         "meter_id": meter_id,
         "kind": model.kind,
         "mae": model.trained_mae,
         "rmse": model.trained_rmse,
         "train_seconds": model.training_meta.get("train_seconds", 0.0),
-        "model_bytes": len(serialize(model)),
+        "model_bytes": model_bytes,
         "leaves": count_leaves(model.root),
         "depth": tree_depth(model.root),
     }
@@ -258,14 +260,17 @@ def run_scenario(cfg: ScenarioConfig, benchmark_meters: int = 0) -> ScenarioResu
     corpus = stage("attack", _attack, sh_splits, nbh_split, cfg)
     predictions = stage("predict", _predict, corpus, sh_models, nbh_model)
     detection = stage("detect", _detect, corpus, predictions, sh_models, nbh_model, cfg)
+    # every model is serialized once, for the report, its row and the benchmark
+    model_bytes = {m: len(serialize(model))
+                   for m, model in [*sh_models.items(), ("NBH", nbh_model)]}
     report, roc_curves = stage("score", _score, cfg, parse_counts, removed_counts,
-                               sh_models, nbh_model, corpus, predictions, detection)
+                               sh_models, nbh_model, model_bytes, corpus, predictions, detection)
     first = sorted(sh_models)[:max(benchmark_meters, 0)]
     benchmark_rows = stage("benchmark", benchmark_models, sh_splits,
-                           {m: sh_models[m] for m in first}, cfg.tree_params())
+                           {m: sh_models[m] for m in first}, cfg.tree_params(), model_bytes)
 
-    training_rows = [model_report_row(m, sh_models[m]) for m in sorted(sh_models)]
-    training_rows.append(model_report_row("NBH", nbh_model))
+    training_rows = [model_report_row(m, sh_models[m], model_bytes[m]) for m in sorted(sh_models)]
+    training_rows.append(model_report_row("NBH", nbh_model, model_bytes["NBH"]))
 
     return ScenarioResult(
         report=report,
@@ -343,6 +348,10 @@ def _predict(corpus: atk.Corpus, sh_models: dict[int, TreeModel],
             for v in corpus.variants if v.attack_type == "none"}
 
 
+# alert kinds ranked as their names sort
+_KIND_RANK = {kind: i for i, kind in enumerate(sorted(("attack_confirmed", "nacr", "sh_anomaly")))}
+
+
 def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
             sh_models: dict[int, TreeModel], nbh_model: TreeModel,
             cfg: ScenarioConfig) -> dict:
@@ -350,12 +359,25 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
 
     Each variant is replayed against its base series' prediction by
     ``detect.replay``. Alerts are returned as (attack type of the replayed
-    stream, event) so the log records which variant fired them.
+    stream, event) so the log records which variant fired them, ordered by
+    kind, timestamp, meter id and attack type. Fusion counts, per tick of
+    the neighborhood series, the homes whose hourly alert covers it, and
+    confirms the ticks that ``detect.confirms``.
     """
     attack_types = sorted({v.attack_type for v in corpus.variants})
     alerts: list[tuple[str, AlertEvent]] = []
-    sh_alert_keys = {t: {} for t in attack_types}   # type -> (date, slot) -> meters
-    nacr_keys = {t: set() for t in attack_types}    # type -> {(date, slot)}
+    sort_keys = ([], [], [], [])   # per alert: kind, minute since day 0, meter id, attack type
+    # per attack type, the ticks of its alerts: a home's hourly alert covers
+    # both half-hours of the hour, and a home alerts at most once an hour
+    homes = {t: [np.empty(0, np.int64)] for t in attack_types}
+    nacr = {t: [np.empty(0, np.int64)] for t in attack_types}
+
+    def add(attack_type, events, kind, minute, meter_id):
+        alerts.extend((attack_type, event) for event in events)
+        for column, key in zip(sort_keys, (_KIND_RANK[kind], minute, meter_id,
+                                           attack_types.index(attack_type))):
+            column.append(np.broadcast_to(key, minute.shape))
+
     for variant in corpus.variants:
         s, attack_type = variant.labeled.base, variant.attack_type
         if variant.level == "SH":
@@ -363,47 +385,49 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
                                     n_window=cfg.n_window, mode=cfg.counter_mode)
         else:
             state = NbhDetectorState(nbh_model)
-        for _, event in replay(state, s.dates, s.intervals, variant.labeled.attacked,
-                               predictions[(variant.level, s.meter_id)]):
-            alerts.append((attack_type, event))
-            if event.kind == "nacr":
-                nacr_keys[attack_type].add((event.date, event.interval))
-            else:
-                for slot in (2 * event.interval - 1, 2 * event.interval):
-                    sh_alert_keys[attack_type].setdefault((event.date, slot), set()).add(
-                        event.meter_id)
+        fired = replay(state, s.data.day, s.data.interval, variant.labeled.attacked,
+                       predictions[(variant.level, s.meter_id)])
+        rows = np.array([i for i, _ in fired], dtype=np.int64)
+        day, interval = s.data.day[rows], s.data.interval[rows]
+        events = [event for _, event in fired]
+        if variant.level == "SH":
+            add(attack_type, events, "sh_anomaly", day * 1440 + (interval - 1) * 60, s.meter_id)
+            homes[attack_type] += [day * 100 + 2 * interval - 1, day * 100 + 2 * interval]
+        else:
+            add(attack_type, events, "nacr", day * 1440 + (interval - 1) * 30, 0)
+            nacr[attack_type].append(day * 100 + interval)
 
     # decision fusion over the validation timeline, per attack type
     benign = [v for v in corpus.variants if v.attack_type == "none"]
-    nbh_base = next((v.labeled.base for v in benign if v.level == "NBH"), None)
-    ticks = list(zip(nbh_base.dates, nbh_base.intervals)) if nbh_base else []
+    nbh_base = next((v.labeled.base.data for v in benign if v.level == "NBH"), None)
     nb_sh = sum(1 for v in benign if v.level == "SH")
     fusion: dict[str, dict] = {}
     for attack_type in attack_types:
-        if attack_type == "none" or not ticks or nb_sh == 0:
+        if attack_type == "none" or nbh_base is None or not len(nbh_base) or nb_sh == 0:
             continue
-        alerting_dates = {d for d, _slot in sh_alert_keys[attack_type]}
-        maker = DecisionMaker(nb_sh)
-        confirmed = 0
-        for date, slot in ticks:
-            nacr = (date, slot) in nacr_keys[attack_type]
-            nb_alert = len(sh_alert_keys[attack_type].get((date, slot), set()))
-            event = maker.tick(date, slot, nacr, min(nb_alert, nb_sh))
-            if event is not None:
-                confirmed += 1
-                alerts.append((attack_type, event))
+        ticks = nbh_base.day * 100 + nbh_base.interval
+        alerting = np.sort(np.concatenate(homes[attack_type]))
+        nb_alert = np.searchsorted(alerting, ticks, "right") \
+            - np.searchsorted(alerting, ticks, "left")
+        hit = np.flatnonzero(confirms(np.isin(ticks, np.concatenate(nacr[attack_type])),
+                                      np.minimum(nb_alert, nb_sh), nb_sh))
+        day, slot = nbh_base.day[hit], nbh_base.interval[hit]
+        events = [AlertEvent("attack_confirmed", None, date_of(d), i, "slot", 0.0, 0.0, 0.0)
+                  for d, i in zip(day.tolist(), slot.tolist())]
+        add(attack_type, events, "attack_confirmed", day * 1440 + (slot - 1) * 30, 0)
         fusion[attack_type] = {
-            "ticks": len(ticks),
-            "confirmed": confirmed,
-            "alerting_dates": len(alerting_dates),
+            "ticks": len(nbh_base),
+            "confirmed": int(hit.size),
+            "alerting_dates": int(np.unique(alerting // 100).size),
         }
 
-    alerts.sort(key=lambda ta: (ta[1].kind, ta[1].timestamp(), ta[1].meter_id or 0, ta[0]))
-    return {"alerts": alerts, "fusion": fusion}
+    order = np.lexsort([np.concatenate(column) for column in reversed(sort_keys)]).tolist() \
+        if alerts else []
+    return {"alerts": [alerts[i] for i in order], "fusion": fusion}
 
 
 def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
-           sh_models: dict[int, TreeModel], nbh_model: TreeModel,
+           sh_models: dict[int, TreeModel], nbh_model: TreeModel, model_bytes: dict,
            corpus: atk.Corpus, predictions: dict[tuple, np.ndarray], detection: dict):
     per_level: dict[str, _LevelScores] = {}
     per_meter_rates: dict[str, dict] = {}
@@ -467,7 +491,7 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
     report_levels["SH"]["macro"] = per_meter_rates
 
     sh_rmses = [sh_models[m].trained_rmse for m in sorted(sh_models)]
-    sh_bytes = [len(serialize(sh_models[m])) for m in sorted(sh_models)]
+    sh_bytes = [model_bytes[m] for m in sorted(sh_models)]
     report = {
         "seed": cfg.seed,
         "nb_sh": cfg.nb_sh,
@@ -484,7 +508,7 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
                 "bytes_mean": float(np.mean(sh_bytes)) if sh_bytes else None,
             },
             "nbh": {"rmse": nbh_model.trained_rmse, "mae": nbh_model.trained_mae,
-                    "bytes": len(serialize(nbh_model))},
+                    "bytes": model_bytes["NBH"]},
         },
         "levels": report_levels,
         "fusion": detection["fusion"],
@@ -542,19 +566,25 @@ def _fmt(v) -> str:
 
 
 def benchmark_models(splits: dict[int, tuple[Dataset, Dataset]],
-                     models: dict[int, TreeModel], params: TreeParams) -> list[dict]:
+                     models: dict[int, TreeModel], params: TreeParams,
+                     model_bytes: dict | None = None) -> list[dict]:
     """Set a rep tree beside each home's trained model tree: cost and accuracy.
 
     Each meter of ``models`` gets a ``rep_tree`` row, trained on its split,
     and a ``model_tree`` row, the report row of its model. Training on the
     split's validation part stamps the validation MAE and RMSE on the
-    model, so the rows carry them without a re-evaluation.
+    model, so the rows carry them without a re-evaluation. ``model_bytes``
+    holds the payload length of each of ``models`` where the caller has
+    serialized them; the others are serialized here.
     """
+    model_bytes = model_bytes or {}
     rows: list[dict] = []
     for meter_id in sorted(models):
         train, valid = splits[meter_id]
-        for algorithm, model in (("rep_tree", train_rep_tree(train, params, valid=valid)),
-                                 ("model_tree", models[meter_id])):
-            rows.append({"dataset": meter_id, "algorithm": algorithm,
-                         **model_report_row(meter_id, model)})
+        rep_tree, model = train_rep_tree(train, params, valid=valid), models[meter_id]
+        size = model_bytes[meter_id] if meter_id in model_bytes else len(serialize(model))
+        rows += [{"dataset": meter_id, "algorithm": "rep_tree",
+                  **model_report_row(meter_id, rep_tree, len(serialize(rep_tree)))},
+                 {"dataset": meter_id, "algorithm": "model_tree",
+                  **model_report_row(meter_id, model, size)}]
     return rows

@@ -290,47 +290,70 @@ def _gains(left: np.ndarray, table: _KeyTable, keys: np.ndarray, loc: np.ndarray
     return np.where(enough, sd_parent[:, None] - spread, -np.inf), count[:, :c]
 
 
+def _starts(loc: np.ndarray) -> np.ndarray:
+    """Where each node's keys start, ``loc`` being sorted and holding every
+    node number from 0 to its last."""
+    return np.searchsorted(loc, np.arange(loc[-1] + 1))
+
+
 def _best_splits(table: _KeyTable, keys: np.ndarray, loc: np.ndarray,
                  attributes: Sequence[str], min_instances: int):
     """The best childless split (or None) of each node, the keys being
-    grouped by node (``loc``), and whether each key goes left. A split leaves
-    ``min_instances`` rows a side and gains more than ``_EPS_GAIN``; gains
-    within ``_TIE`` times the node's SD of the best tie, and the attribute
-    declared first wins, then the lowest threshold or the first subset in
-    ``_SUBSETS`` order of the node's seen codes that holds the lowest one."""
-    _, starts, loc = np.unique(loc, return_index=True, return_inverse=True)
+    grouped by node (``loc``, numbered from 0 up), and whether each key goes
+    left. A split leaves ``min_instances`` rows a side and gains more than
+    ``_EPS_GAIN``; gains within ``_TIE`` times the node's SD of the best
+    tie, and the attribute declared first wins, then the lowest threshold
+    or the first subset in ``_SUBSETS`` order of the node's seen codes that
+    holds the lowest one.
+
+    Every attribute's candidates are columns of one matrix, in declaration
+    order, so one ``_gains`` call scores them all and one ``argmax`` over
+    the tied columns applies the rule."""
+    starts = _starts(loc)
     sd = _sd_of(*np.add.reduceat(table.sums[keys], starts).T)
-    nodes = np.arange(starts.size)
-    found = []
+    lefts, value, seen = [], [], {}   # per attribute: candidate sides, their thresholds
     for j, attr in enumerate(attributes):
-        code, values = table.index[keys, j], table.values[j]
+        code = table.index[keys, j]
         if attr in CATEGORICAL_ATTRIBUTES:
-            seen = np.bitwise_or.reduceat(1 << code, starts)
-            ok = ((_SUBSETS & ~seen[:, None]) == 0) & ((_SUBSETS & (seen & -seen)[:, None]) > 0)
-            left = (_SUBSETS >> code[:, None]) & 1 == 1
+            seen[j] = np.bitwise_or.reduceat(1 << code, starts)
+            lefts.append((_SUBSETS >> code[:, None]) & 1 == 1)
+            value.append(np.full(_SUBSETS.size, np.nan))
         else:
-            seen, left = None, code[:, None] <= np.arange(values.size)
-        gains, nl = _gains(left, table, keys, loc, starts, sd, min_instances)
-        if seen is None:
-            ok = nl > np.hstack([np.zeros((nodes.size, 1)), nl[:, :-1]])   # a value it holds
-        found.append((j, attr, values, seen, ok, left, np.where(ok, gains, -np.inf)))
-    top = np.max([gains.max(axis=1) for *_, gains in found], axis=0)
+            lefts.append(code[:, None] <= np.arange(table.values[j].size))
+            value.append(table.values[j])
+    edges = np.cumsum([0] + [v.size for v in value])
+    left, value = np.hstack(lefts), np.concatenate(value + [[np.nan]])
+    gains, nl = _gains(left, table, keys, loc, starts, sd, min_instances)
+    ok = np.diff(nl, axis=1, prepend=0.0) > 0    # a numeric value the node holds
+    ok[:, edges[:-1]] = nl[:, edges[:-1]] > 0
+    for j, bits in seen.items():                 # a subset of the seen codes with the lowest
+        ok[:, edges[j]:edges[j + 1]] = ((_SUBSETS & ~bits[:, None]) == 0) \
+            & ((_SUBSETS & (bits & -bits)[:, None]) > 0)
+    gains = np.where(ok, gains, -np.inf)
+    top = gains.max(axis=1)
     bar = np.where(top > _EPS_GAIN, np.maximum(top - _TIE * sd, _EPS_GAIN), np.inf)
-    pick, goes_left = {}, np.zeros(keys.size, dtype=bool)
-    for j, attr, values, seen, ok, left, gains in found:
-        tied = gains >= bar[:, None]
-        k, new = tied.argmax(axis=1), tied.any(axis=1)
-        bar[new] = np.inf   # taken
-        moved = new[loc]
-        goes_left[moved] = left[moved, k[loc[moved]]]
-        for m in np.flatnonzero(new).tolist():
-            if seen is not None:
-                pick[m] = Split(attr, j, "subset", subset=_codes(_SUBSETS[k[m]]),
-                                seen=_codes(seen[m]))
-            else:   # halfway to the next value the node holds
-                above = values[k[m] + 1 + np.argmax(ok[m, k[m] + 1:])]
-                pick[m] = Split(attr, j, "numeric", threshold=float((values[k[m]] + above) / 2))
-    return [pick.get(m) for m in nodes.tolist()], goes_left
+    tied = gains >= bar[:, None]
+    col, found = tied.argmax(axis=1), tied.any(axis=1)
+    goes_left = found[loc] & left[np.arange(keys.size), col[loc]]
+
+    nodes = np.flatnonzero(found)
+    col = col[nodes]
+    attr_of = np.searchsorted(edges, col, side="right") - 1
+    # a numeric split lies halfway to the next value the node holds: the
+    # first held column after its own (past the last, the NaN at edges[-1])
+    held = np.where(ok[nodes], np.arange(edges[-1]), edges[-1])
+    held = np.minimum.accumulate(held[:, ::-1], axis=1)[:, ::-1]
+    above = held[np.arange(nodes.size), np.minimum(col + 1, edges[-1] - 1)]
+    threshold = (value[col] + value[above]) / 2
+    pick = [None] * starts.size
+    for m, j, c, t in zip(nodes.tolist(), attr_of.tolist(), (col - edges[attr_of]).tolist(),
+                          threshold.tolist()):
+        if j in seen:
+            pick[m] = Split(attributes[j], j, "subset", subset=_codes(_SUBSETS[c]),
+                            seen=_codes(seen[j][m]))
+        else:
+            pick[m] = Split(attributes[j], j, "numeric", threshold=t)
+    return pick, goes_left
 
 
 def _grow(table: _KeyTable, attributes: Sequence[str], min_instances: int,
@@ -346,16 +369,16 @@ def _grow(table: _KeyTable, attributes: Sequence[str], min_instances: int,
     while (live := np.flatnonzero(where >= 0)).size:
         levels.append(where.copy())
         keys = live[np.argsort(where[live], kind="stable")]
-        loc = where[keys] - len(nodes)
-        starts = np.unique(loc, return_index=True)[1]
+        loc = where[keys] - len(nodes)   # every node of the level holds keys
+        starts = _starts(loc)
         n, s, q = np.add.reduceat(table.sums[keys], starts).T
         constant = np.minimum.reduceat(table.lo[keys], starts) \
             == np.maximum.reduceat(table.hi[keys], starts)
         grow = (n >= 2 * min_instances) & ~constant & (_sd_of(n, s, q) > sd_floor)
         found, goes_left = [], np.zeros(keys.size, dtype=bool)
         if grow.any():
-            sel = grow[loc]
-            found, goes_left[sel] = _best_splits(table, keys[sel], loc[sel], attributes,
+            sel, rank = grow[loc], np.cumsum(grow) - 1   # rank: its number among the growing
+            found, goes_left[sel] = _best_splits(table, keys[sel], rank[loc[sel]], attributes,
                                                  min_instances)
         found = iter(found)   # one split or None per growing node, in order
         splits = [next(found) if g else None for g in grow.tolist()]
@@ -481,14 +504,20 @@ def _fit_nodes(table: _KeyTable, path: np.ndarray,
     ``lstsq`` does on the rank-deficient season one-hot plus intercept.
     Constant targets keep their constant and a node with no more rows than
     columns falls back to its mean, each with p = 1. The SSE,
-    sum_k scatter_k + n_k (mean_k - a_k'c)^2, does not cancel."""
+    sum_k scatter_k + n_k (mean_k - a_k'c)^2, does not cancel.
+
+    Each sum is one ``bincount`` over (node, entry) bins, which adds its
+    (node, key) pairs one at a time in pair order, entry by entry."""
     A = np.hstack([np.ones((table.lo.size, 1)), design_matrix(table.codes, attributes)])
     p, size = A.shape[1], path.max() + 1
     node, key = path[path >= 0], np.nonzero(path >= 0)[1]   # (node, key) pairs
     a, n_k, mean_k = A[key], table.sums[key, 0], table.sums[:, 1] / table.sums[:, 0]
 
-    def moments(weights: np.ndarray) -> np.ndarray:   # per node: sum of weights * a
-        return np.column_stack([np.bincount(node, weights * col, minlength=size) for col in a.T])
+    def sums(terms: np.ndarray) -> np.ndarray:   # per node: the sum of each pair's terms
+        width = terms[0].size
+        bins = node[:, None] * width + np.arange(width)
+        total = np.bincount(bins.ravel(), terms.ravel(), size * width)
+        return total.reshape(size, *terms.shape[1:])
 
     count, s = np.bincount(node, n_k, minlength=size), np.bincount(node, table.sums[key, 1])
     lo, hi = np.full(size, np.inf), np.full(size, -np.inf)
@@ -496,7 +525,7 @@ def _fit_nodes(table: _KeyTable, path: np.ndarray,
     np.maximum.at(hi, node, table.hi[key])
     const = lo == hi
     solve = (count > p) & ~const
-    gram = np.stack([moments(n_k * col) for col in a.T], axis=2)
+    gram = sums(a[:, :, None] * (n_k[:, None] * a)[:, None, :])   # [m, j, i]: n_k a_i a_j
     w, V = np.linalg.eigh(gram[solve])
     kept = w > _RCOND * w[:, -1:]
     inverse = np.where(kept, 1.0 / np.where(kept, w, 1.0), 0.0)
@@ -506,7 +535,7 @@ def _fit_nodes(table: _KeyTable, path: np.ndarray,
     # matrix, so the solution keeps the minimum norm
     for _ in range(2):
         resid = mean_k[key] - (a * coef[node]).sum(axis=1)
-        along = inverse * (V * moments(n_k * resid)[solve][:, :, None]).sum(axis=1)
+        along = inverse * (V * sums((n_k * resid)[:, None] * a)[solve][:, :, None]).sum(axis=1)
         coef[solve] += (V * along[:, None, :]).sum(axis=2)
     coef[~solve, 0] = np.where(const, lo, s / count)[~solve]
     resid = mean_k[key] - (a * coef[node]).sum(axis=1)

@@ -7,6 +7,7 @@ import gzip
 import json
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from gridwatch.detect import DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent
 from gridwatch.ingest import read_dataset_csv, split_train_validation, write_dataset_csv
 from gridwatch.manifest import read_manifest, verify_manifest, write_json, write_manifest
 from gridwatch.synth import SynthProfile, synth_raw_lines
-from gridwatch.trees import TreeParams
+from gridwatch.trees import TreeParams, serialize
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,20 @@ def trained(ingested, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     assert main(["train", "--data", str(ingested), "--out", str(out), "--seed", "13"]) == 0
     return out
+
+
+def test_train_serializes_each_model_once(ingested, tmp_path):
+    """The model file and the training report's ``model_bytes`` share one
+    payload."""
+    spy = mock.Mock(wraps=serialize)
+    with mock.patch.object(cli, "serialize", spy), mock.patch.object(cli.scn, "serialize", spy):
+        assert main(["train", "--data", str(ingested), "--out", str(tmp_path), "--seed", "13"]) == 0
+    models = [call.args[0] for call in spy.call_args_list]
+    files = sorted((tmp_path / "models").glob("*.amim"))
+    assert len(models) == len({id(m) for m in models}) == len(files) == 4
+    with open(tmp_path / "training_report.csv", newline="") as fh:
+        sizes = sorted(int(row["model_bytes"]) for row in csv.DictReader(fh))
+    assert sizes == sorted(path.stat().st_size for path in files)
 
 
 def test_ingest_writes_datasets_and_manifest(ingested):

@@ -286,6 +286,48 @@ def test_clean_keeps_row_order_among_equal_keys():
     _same_rows(removed, ref_removed)
 
 
+GROUP_SIZES = st.one_of(st.sampled_from([1, 2, 8, 9, 128, 129, 300]), st.integers(1, 300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(GROUP_SIZES, min_size=1, max_size=6), st.sampled_from(["hour", "slot"]),
+       st.sampled_from([1e-170, 1e-3, 1.0, 1e6]), st.integers(0, 2 ** 32 - 1))
+def test_clean_equals_the_per_group_loop(sizes, kind, scale, seed):
+    """Groups of 1 to 300 rows, among them sizes where numpy's pairwise sum
+    changes its blocks (8 and 9, 128 and 129), interleaved in row order,
+    with outliers and with constant groups, and at a scale where squared
+    deviations underflow (sigma 0 keeps a group whole). ``_reference_clean``
+    takes each group's mean and sigma with its own ``np.mean``/``np.std``
+    call."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for g, size in enumerate(sizes):
+        month, interval = g % 12 + 1, g // 12 + 3
+        constant = rng.random() < 0.2
+        for _ in range(size):
+            value = 0.5 if constant else float(rng.lognormal()) * (30.0 if rng.random() < 0.03
+                                                                    else 1.0)
+            rows.append(_reference_vector(dt.date(2010, month, int(rng.integers(1, 29))),
+                                          interval, kind, scale * value))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    level = ("SH", 1, ingest.SH_ATTRIBUTES) if kind == "hour" \
+        else ("NBH", None, ingest.NBH_ATTRIBUTES)
+    ds = ingest.Dataset.from_rows(level[0], level[1], rows, level[2])
+    kept, removed = clean_dataset(ds)
+    ref_kept, ref_removed = _reference_clean(rows)
+    _same_rows(kept, ref_kept)
+    _same_rows(removed, ref_removed)
+
+
+@pytest.mark.parametrize("size", [2, 7, 8, 9, 16, 17, 127, 128, 129, 130, 255, 256, 257, 300])
+def test_row_statistics_keep_the_bits_of_one_group(size):
+    """What ``clean_dataset`` relies on: numpy's mean and std of each row of
+    a matrix have the bits of the same call on that row alone."""
+    values = np.random.default_rng(size).lognormal(size=(5, size)) * 1e3
+    assert bits(values.mean(axis=1)) == bits([row.mean() for row in values])
+    assert bits(values.std(axis=1)) == bits([row.std() for row in values])
+
+
 def test_nbh_total_adds_meters_left_to_right():
     """Ten meters of 0.1 kWh: plain left-to-right addition gives
     0.9999999999999999; compensated summation (sum() from Python 3.12 on)
@@ -324,13 +366,21 @@ WIRE_VALUES = st.tuples(
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.lists(WIRE_VALUES, min_size=1, max_size=40))
-def test_wire_kwh_equals_parsing_the_six_decimal_text(values):
+@given(st.lists(WIRE_VALUES, min_size=1, max_size=40), st.integers(0, 40))
+def test_wire_kwh_equals_parsing_the_six_decimal_text(values, before):
     """Both signs, zeros, subnormals, exact ties and ties one ulp off,
     products at or beyond 2**52 and products that overflow, mixed in one
-    array so the fast and the per-value route interleave."""
+    array so the fast and the per-value route interleave; and the same
+    values again across the boundary of two rounding blocks, ``before`` of
+    them (at most) in the first."""
     want = [float(f"{k:.6f}") for k in values]
     assert bits(wire_kwh(np.array(values))) == bits(want)
+    at = ingest._WIRE_BLOCK - min(before, len(values))
+    wide, expected = np.full(ingest._WIRE_BLOCK + 40, 0.25), np.full(ingest._WIRE_BLOCK + 40, 0.25)
+    wide[at:at + len(values)], expected[at:at + len(values)] = values, want
+    got = wire_kwh(wide)
+    assert bits(got[at:at + len(values)]) == bits(want)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_wire_kwh_rounds_exact_ties_half_to_even():

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from gridwatch.cli import main
 from gridwatch.detect import (DEFAULT_N_WINDOW, AlertEvent, DecisionMaker, NbhDetectorState,
-                              ShDetectorState, decide, nbh_step, sh_step)
+                              ShDetectorState, _nbh_decide, _sh_decide, confirms, decide,
+                              nbh_step, replay, sh_step)
 from gridwatch.errors import SequencingError
-from gridwatch.ingest import NBH_ATTRIBUTES, SH_ATTRIBUTES, feature_vector
+from gridwatch.ingest import NBH_ATTRIBUTES, SH_ATTRIBUTES, date_of, feature_vector
 from gridwatch.trees import Leaf, TreeModel, serialize
 
 START = dt.date(2009, 1, 5)
@@ -276,6 +277,107 @@ def test_nbh_alert_timestamp_is_half_hour():
 
 
 # ---------------------------------------------------------------------------
+# replay: the stream kernel against stepping row by row
+
+def fresh_state(level, nbr_incr=2, n_window=4):
+    """A detector state of ``level`` ("windowed", "lifetime" or "nbh")."""
+    if level == "nbh":
+        return NbhDetectorState(leaf_model(0.0, pe=0.25, attributes=NBH_ATTRIBUTES))
+    return ShDetectorState(7, leaf_model(0.0, pe=0.25), nbr_incr=nbr_incr, n_window=n_window,
+                           mode=level)
+
+
+def state_of(state):
+    return (getattr(state, "bits", None), getattr(state, "lifetime_counter", None),
+            state._last_key)
+
+
+def step_rows(state, days, intervals, observed, predicted):
+    """The reference: every row through ``_sh_decide``/``_nbh_decide``."""
+    decide_row = _nbh_decide if isinstance(state, NbhDetectorState) else _sh_decide
+    events = []
+    for i, row in enumerate(zip(days, intervals, observed, predicted)):
+        event = decide_row(state, date_of(row[0]), *row[1:])
+        if event is not None:
+            events.append((i, event))
+    return events
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), level=st.sampled_from(["windowed", "lifetime", "nbh"]),
+       n_window=st.integers(1, 70))
+def test_replay_equals_stepping_row_by_row(data, level, n_window):
+    """Events and final state, in both counter modes and at the neighborhood
+    level, over streams with gaps, from a state left by earlier rows. Each
+    row exceeds, sits on the threshold or stays below it."""
+    per_day = 48 if level == "nbh" else 24
+    nbr_incr = data.draw(st.integers(0, n_window - 1 if level == "windowed" else n_window + 2),
+                         label="nbr_incr")
+    gaps = data.draw(st.lists(st.integers(1, 2 * n_window + 2), max_size=60), label="gaps")
+    position = 4000 + np.cumsum(gaps, dtype=np.int64)       # steps from day 0, slot 1
+    days, intervals = position // per_day, position % per_day + 1
+    predicted = np.array(data.draw(st.lists(st.floats(0, 3), min_size=len(gaps),
+                                            max_size=len(gaps)), label="predicted"))
+    margin = np.array(data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.125, 2.0]),
+                                         min_size=len(gaps), max_size=len(gaps)),
+                                label="margin"))
+    observed = predicted + 0.25 + margin
+    back = data.draw(st.sampled_from([None, 1, 2, 5 * per_day]), label="last key, steps back")
+    bits = data.draw(st.integers(0, 2 ** n_window - 1), label="bits")
+    count = data.draw(st.integers(0, nbr_incr + 2), label="lifetime counter")
+    states = [fresh_state(level, nbr_incr, n_window) for _ in range(2)]
+    for state in states:
+        if back is not None:
+            last = 4000 - back
+            state._last_key = (date_of(last // per_day), last % per_day + 1)
+        if level != "nbh":
+            state.bits, state.lifetime_counter = bits, count
+    got = replay(states[0], days, intervals, observed, predicted)
+    want = step_rows(states[1], days.tolist(), intervals.tolist(), observed.tolist(),
+                     predicted.tolist())
+    assert got == want
+    assert state_of(states[0]) == state_of(states[1])
+
+
+@pytest.mark.parametrize("level", ["windowed", "lifetime", "nbh"])
+@pytest.mark.parametrize("fault, last", [
+    ("repeated row", 3999), ("earlier interval", 3999), ("earlier day", 3999),
+    ("repeated row", None), ("earlier interval", None), ("earlier day", None),
+    ("first row at the last key", 4000), ("first row before it", 4003)])
+def test_replay_rejects_an_out_of_order_stream_before_judging_a_row(level, fault, last):
+    """The error names the pair that stepping would name, and the state,
+    fresh or set by earlier rows (``last``), is left as it was; every row
+    exceeds, so a judged row would change it."""
+    per_day = 48 if level == "nbh" else 24
+    position = np.arange(4000, 4012)
+    position[6:] = {"repeated row": position[5:11], "earlier interval": position[4:10],
+                    "earlier day": position[6:] - per_day}.get(fault, position[6:])
+    days, intervals = position // per_day, position % per_day + 1
+    observed, predicted = np.full(12, 9.0), np.zeros(12)
+    states = [fresh_state(level) for _ in range(2)]
+    for state in states:
+        if last is not None:
+            state._last_key = (date_of(last // per_day), last % per_day + 1)
+        if level != "nbh":
+            state.bits, state.lifetime_counter = 0b10, 1
+    found = state_of(states[0])
+    with pytest.raises(SequencingError) as stepping:
+        step_rows(states[1], days.tolist(), intervals.tolist(), observed.tolist(),
+                  predicted.tolist())
+    with pytest.raises(SequencingError) as replaying:
+        replay(states[0], days, intervals, observed, predicted)
+    assert str(replaying.value) == str(stepping.value)
+    assert state_of(states[0]) == found
+
+
+def test_replay_of_an_empty_stream_changes_nothing():
+    state = fresh_state("windowed")
+    state.bits, state._last_key = 0b11, (START, 3)
+    assert replay(state, [], [], np.empty(0), np.empty(0)) == []
+    assert state_of(state) == (0b11, 0, (START, 3))
+
+
+# ---------------------------------------------------------------------------
 # decision fusion
 
 def test_decide_examples():
@@ -296,6 +398,13 @@ def test_decide_validates_inputs():
         decide(False, 0, 0)
     with pytest.raises(ValueError):
         decide(False, 5, 4)
+
+
+def test_confirms_is_decide_over_arrays():
+    for nb_sh in range(1, 9):
+        nacr, nb_alert = np.array([[False], [True]]), np.arange(nb_sh + 1)
+        want = [[decide(bool(n), int(a), nb_sh) for a in nb_alert] for n in nacr[:, 0]]
+        assert confirms(nacr, nb_alert, nb_sh).tolist() == want
 
 
 def test_decision_maker_confirms_exactly_when_decide():

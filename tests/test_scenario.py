@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from gridwatch.ingest import (EPOCH, build_sh_dataset, clean_dataset, feature_ve
 from gridwatch.scenario import ScenarioConfig, benchmark_models, run_scenario, summary_rows
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, MAX_WEEKS, SynthProfile, expected_kwh,
                              meter_scale, synth_columns, synth_raw_lines, synth_readings)
-from gridwatch.trees import TreeParams, predict, train_model_tree
+from gridwatch.trees import TreeParams, predict, serialize, train_model_tree
 
 SMALL = ScenarioConfig(nb_sh=3, weeks=4, seed=3, jobs=1)
 
@@ -263,6 +264,38 @@ def test_detect_matches_public_step_replay(detect_inputs, mode):
     for got, want in zip(detection["alerts"], alerts):
         assert got == want          # every field: observed, predicted, threshold too
     assert detection["fusion"] == fusion
+
+
+def test_detect_fuses_by_majority_when_nacr_is_silent(detect_inputs):
+    """With a neighborhood margin nothing exceeds, every confirmed tick is a
+    majority of alerting homes (4 homes: 3 or 4); one home short of it, or
+    one alert on a half-hour its hour does not cover, would change the
+    count."""
+    cfg, corpus, sh_models, nbh_model, splits = detect_inputs
+    silent = dataclasses.replace(nbh_model, trained_rmse=1e9)
+    predictions = scn._predict(corpus, sh_models, silent)
+    detection = scn._detect(corpus, predictions, sh_models, silent, cfg)
+    alerts, fusion = _replay_oracle(cfg, corpus, sh_models, silent)
+    assert not any(e.kind == "nacr" for _, e in alerts)
+    assert sum(entry["confirmed"] for entry in fusion.values()) > 0
+    assert detection["fusion"] == fusion
+    assert detection["alerts"] == alerts
+
+
+def test_run_scenario_serializes_each_model_once():
+    """The report's byte sizes, the training rows and the benchmark rows
+    share one payload per model: one per home, the neighborhood tree and
+    each benchmark rep tree."""
+    with mock.patch.object(scn, "serialize", wraps=serialize) as spy:
+        result = run_scenario(SMALL, benchmark_meters=2)
+    models = [call.args[0] for call in spy.call_args_list]
+    assert len(models) == len({id(m) for m in models}) == SMALL.nb_sh + 1 + 2
+    sizes = {row["meter_id"]: row["model_bytes"] for row in result.training_rows}
+    rep_trees = [r["model_bytes"] for r in result.benchmark_rows if r["algorithm"] == "rep_tree"]
+    assert sorted(len(serialize(m)) for m in models) == sorted([*sizes.values(), *rep_trees])
+    for row in result.benchmark_rows:
+        if row["algorithm"] == "model_tree":
+            assert row["model_bytes"] == sizes[row["meter_id"]]
 
 
 def test_scenario_stage_error_names_stage():
