@@ -13,7 +13,7 @@ from .detect import (AlertEvent, DecisionMaker, NbhDetectorState, ShDetectorStat
 from .ingest import (Dataset, FeatureVector, MeterReading, Readings, build_nbh_dataset,
                      build_sh_dataset, clean_dataset, decode_timestamp, parse_raw,
                      split_train_validation)
-from .metrics import compute_metrics, roc_curve
+from .metrics import roc_curve
 from .scenario import ScenarioConfig, benchmark_models, run_scenario
 from .synth import SynthProfile, synth_columns, synth_raw_lines, synth_readings
 from .trees import (TreeModel, TreeParams, deserialize, evaluate, predict,

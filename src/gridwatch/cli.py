@@ -37,7 +37,7 @@ from .detect import (COUNTER_MODES, DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, NbhDetec
                      ShDetectorState, check_counter, replay)
 from .errors import GridwatchError, ScenarioError, SequencingError, UserInputError
 from .ingest import (Dataset, build_nbh_dataset, build_sh_dataset, clean_dataset,
-                     clock_hour, day_code_of, group_by_meter, open_raw, parse_raw,
+                     clock_hour, day_code_of, group_by_meter, kwh_fault, open_raw, parse_raw,
                      read_dataset_csv, write_dataset_csv, write_labeled_csv,
                      write_removed_csv)
 from .manifest import MANIFEST_NAME, verify_manifest, write_json, write_manifest
@@ -243,7 +243,8 @@ def _corpus_streams(path: Path, level: str) -> list[tuple[str, Dataset]]:
     replay streams, one per (meter_id, attack_type), rows in file order.
 
     SH rows carry a meter id and NBH rows none; a row that disagrees with
-    ``level`` is a user error naming the file and line.
+    ``level``, or whose attacked kWh is non-finite or negative, is a user
+    error naming the file and line.
     """
     kind = "hour" if level == "sh" else "slot"
     streams: dict[tuple, list[tuple[int, int, float]]] = {}
@@ -258,9 +259,12 @@ def _corpus_streams(path: Path, level: str) -> list[tuple[str, Dataset]]:
                         f"meter_id {rec['meter_id']!r} (SH rows carry one, NBH rows none)")
                 interval = int(rec["interval"])
                 clock_hour(interval, kind)
+                kwh = float(rec["attacked_kwh"])
+                if fault := kwh_fault(kwh):
+                    raise UserInputError(f"corpus {path} at line {reader.line_num}: "
+                                         f"attacked_kwh: {fault}")
                 streams.setdefault((meter_id, rec["attack_type"]), []).append(
-                    (day_code_of(dt.date.fromisoformat(rec["date"])), interval,
-                     float(rec["attacked_kwh"])))
+                    (day_code_of(dt.date.fromisoformat(rec["date"])), interval, kwh))
         except (KeyError, ValueError, TypeError) as exc:   # TypeError: a short row
             raise UserInputError(f"malformed corpus {path} at line {reader.line_num}: "
                                  f"missing column or bad value {exc}") from exc
@@ -455,7 +459,7 @@ def cmd_report(args) -> int:
         _write_csv(run_dir / "model_benchmark_summary.csv", agg_rows)
 
     for level in ("SH", "NBH"):
-        for attack_type, entry in report["levels"][level]["pooled"].items():
+        for attack_type, entry in scn.pooled_entries(report, level):
             print(f"{level:3s} {attack_type:4s} "
                   f"tpr={_num(entry.get('tpr'))} fpr={_num(entry.get('fpr'))} "
                   f"ac={_num(entry.get('ac'))} rmse={_num(entry.get('rmse_benign'))} "

@@ -444,11 +444,8 @@ def _parse_lines(lines: Iterable[str], first_line_no: int = 1) -> tuple[Readings
         if meter_id > _MAX_METER_ID:
             issues.append(ParseIssue(line_no, f"meter id {meter_id} above {_MAX_METER_ID}", line))
             continue
-        if not math.isfinite(kwh):
-            issues.append(ParseIssue(line_no, f"non-finite consumption {kwh_field!r}", line))
-            continue
-        if kwh < 0:
-            issues.append(ParseIssue(line_no, f"negative consumption {kwh}", line))
+        if fault := kwh_fault(kwh):
+            issues.append(ParseIssue(line_no, fault, line))
             continue
         try:
             _, slot = decode_timestamp(code)
@@ -462,6 +459,15 @@ def _parse_lines(lines: Iterable[str], first_line_no: int = 1) -> tuple[Readings
     readings = Readings(np.array(meters, dtype=np.int64), np.array(days, dtype=np.int64),
                         np.array(slots, dtype=np.int64), np.array(kwhs, dtype=np.float64))
     return readings, issues
+
+
+def kwh_fault(kwh: float) -> str | None:
+    """Why a consumption value is refused (non-finite or negative), or None."""
+    if not math.isfinite(kwh):
+        return f"non-finite consumption {kwh!r}"
+    if kwh < 0:
+        return f"negative consumption {kwh!r}"
+    return None
 
 
 def wire_kwh(kwh: np.ndarray) -> np.ndarray:
@@ -728,9 +734,9 @@ def read_dataset_csv(path: str | Path) -> Dataset:
 
     Every row must hold the file's one level ("SH" or "NBH") and meter id,
     and its derived columns (day_period, day_type, month, season) must be
-    the ones its date and interval give. A missing column, a malformed
-    value or a disagreement raises ``UserInputError`` naming the file and
-    line.
+    the ones its date and interval give, and its kWh finite and not
+    negative. A missing column, a malformed value or a disagreement raises
+    ``UserInputError`` naming the file and line.
     """
     with open(path, newline="") as fh:
         records = [rec for rec in csv.reader(fh) if rec]
@@ -808,9 +814,12 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             raise fail(i, f"{name} {got[i]!r} does not match date {dates[i]} and {kind} "
                           f"{intervals[i]} (expected {want[i]!r})")
 
+    kwh = np.array(convert("consumption_kwh", float), dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(kwh) & (kwh >= 0)))
+    if bad.size:
+        raise fail(int(bad[0]), kwh_fault(float(kwh[bad[0]])))
     day_codes = {text: day_code_of(date) for text, date in parsed.items()}
     return Dataset(level, meter_id,
                    np.array([day_codes[t] for t in dates], dtype=np.int64),
-                   np.array(intervals, dtype=np.int64),
-                   np.array(convert("consumption_kwh", float), dtype=np.float64),
+                   np.array(intervals, dtype=np.int64), kwh,
                    NBH_ATTRIBUTES if level == "NBH" else SH_ATTRIBUTES)

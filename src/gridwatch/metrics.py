@@ -26,17 +26,13 @@ def rates_from_counts(tp: int, fn: int, fp: int, tn: int) -> dict:
     }
 
 
-def compute_metrics(predicted: Sequence[bool], truth: Sequence[bool]) -> dict:
-    """Accuracy and the four confusion rates; attack = positive class."""
-    if len(predicted) != len(truth):
-        raise ValueError(f"length mismatch: {len(predicted)} predictions, {len(truth)} truths")
-    p = np.asarray(predicted, dtype=bool)
-    t = np.asarray(truth, dtype=bool)
-    tp = int((p & t).sum())
-    fn = int((~p & t).sum())
-    fp = int((p & ~t).sum())
-    tn = int((~p & ~t).sum())
-    return rates_from_counts(tp, fn, fp, tn)
+def score_rates(neg: np.ndarray, pos: np.ndarray) -> dict:
+    """Accuracy and the four confusion rates of residual margins: a margin
+    above zero alerts. ``neg`` holds the margins of benign intervals and
+    ``pos`` those of attacked ones."""
+    tp = int((pos > 0).sum())
+    fp = int((neg > 0).sum())
+    return rates_from_counts(tp, int(pos.size - tp), fp, int(neg.size - fp))
 
 
 def roc_curve(scores: Sequence[float],

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import ScenarioError
 from .ingest import (Dataset, ParseResult, Readings, build_nbh_dataset, build_sh_dataset,
                      clean_dataset, date_of, group_by_meter, open_raw, parse_raw,
                      split_train_validation, wire_kwh)
-from .metrics import rates_from_counts, roc_curve
+from .metrics import roc_curve, score_rates
 from .synth import MAX_WEEKS, SynthProfile, synth_columns
 from .trees import (TreeModel, TreeParams, _predict_dataset, count_leaves, serialize,
                     train_model_tree, train_rep_tree, tree_depth)
@@ -189,48 +190,6 @@ def train_sh_fleet(splits: dict[int, tuple[Dataset, Dataset]], params: TreeParam
             meter_id, model = _train_sh_worker(task)
             models[meter_id] = model
     return dict(sorted(models.items()))
-
-
-@dataclasses.dataclass
-class _LevelScores:
-    """Per-interval margins split into the benign pool and per-type positives."""
-
-    benign_margins: np.ndarray
-    benign_sqerr: np.ndarray
-    pos_margins: dict[str, np.ndarray]
-    pos_sqerr: dict[str, np.ndarray]
-
-
-def _score_rates(neg: np.ndarray, pos: np.ndarray) -> dict:
-    tp = int((pos > 0).sum())
-    fn = int(pos.size - tp)
-    fp = int((neg > 0).sum())
-    tn = int(neg.size - fp)
-    return rates_from_counts(tp, fn, fp, tn)
-
-
-def _type_report(scores: _LevelScores, attack_type: str) -> tuple[dict, tuple | None]:
-    if attack_type == "all":
-        pos = np.concatenate([v for v in scores.pos_margins.values()]) \
-            if scores.pos_margins else np.empty(0)
-        pos_sq = np.concatenate([v for v in scores.pos_sqerr.values()]) \
-            if scores.pos_sqerr else np.empty(0)
-    else:
-        pos = scores.pos_margins.get(attack_type, np.empty(0))
-        pos_sq = scores.pos_sqerr.get(attack_type, np.empty(0))
-    neg = scores.benign_margins
-    entry = _score_rates(neg, pos)
-    entry["rmse_benign"] = float(np.sqrt(scores.benign_sqerr.mean())) if neg.size else None
-    entry["rmse_attack"] = float(np.sqrt(pos_sq.mean())) if pos.size else None
-    curve = None
-    if pos.size and neg.size:
-        fpr, tpr, auc = roc_curve(
-            np.concatenate([neg, pos]),
-            np.concatenate([np.zeros(neg.size, bool), np.ones(pos.size, bool)]),
-        )
-        curve = (fpr, tpr)
-        entry["auc"] = auc
-    return entry, curve
 
 
 def run_scenario(cfg: ScenarioConfig, benchmark_meters: int = 0) -> ScenarioResult:
@@ -429,49 +388,31 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
 def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
            sh_models: dict[int, TreeModel], nbh_model: TreeModel, model_bytes: dict,
            corpus: atk.Corpus, predictions: dict[tuple, np.ndarray], detection: dict):
-    per_level: dict[str, _LevelScores] = {}
-    per_meter_rates: dict[str, dict] = {}
+    """The report and its ROC curves, from one table of per-series margins.
 
-    for level in ("SH", "NBH"):
-        benign_m, benign_sq = [], []
-        pos_m: dict[str, list] = {}
-        pos_sq: dict[str, list] = {}
-        meter_pools: dict[int, dict] = {}
-        for variant in corpus.variants:
-            if variant.level != level:
+    ``scored[(level, attack type)][meter id]`` holds (margins, squared
+    errors) of every row of a benign variant and of the labeled rows of an
+    attack variant, in corpus order. Each figure concatenates entries of
+    it: a type pools its meters, ``"all"`` its types in ``ATTACK_TYPES``
+    order, and the SH macro means rate each meter's entry of a type
+    against that meter's benign entry.
+    """
+    scored: dict[tuple[str, str], dict] = {}
+    for variant in corpus.variants:
+        s, observed = variant.labeled.base, variant.labeled.attacked
+        preds = predictions[(variant.level, s.meter_id)]
+        if variant.attack_type != "none":
+            labels = variant.labeled.labels
+            if not labels.any():
                 continue
-            ls = variant.labeled
-            s = ls.base
-            model = nbh_model if level == "NBH" else sh_models[s.meter_id]
-            pe = model.trained_rmse
-            preds = predictions[(level, s.meter_id)]
-            if variant.attack_type == "none":
-                margins = s.values - (preds + pe)
-                benign_m.append(margins)
-                benign_sq.append((s.values - preds) ** 2)
-                if level == "SH":
-                    pool = meter_pools.setdefault(s.meter_id, {"neg": [], "pos": {}})
-                    pool["neg"].append(margins)
-            else:
-                mask = ls.labels
-                if not mask.any():
-                    continue
-                margins = ls.attacked[mask] - (preds[mask] + pe)
-                pos_m.setdefault(variant.attack_type, []).append(margins)
-                pos_sq.setdefault(variant.attack_type, []).append(
-                    (ls.attacked[mask] - preds[mask]) ** 2)
-                if level == "SH":
-                    pool = meter_pools.setdefault(s.meter_id, {"neg": [], "pos": {}})
-                    pool["pos"].setdefault(variant.attack_type, []).append(margins)
+            observed, preds = observed[labels], preds[labels]
+        pe = (nbh_model if variant.level == "NBH" else sh_models[s.meter_id]).trained_rmse
+        scored.setdefault((variant.level, variant.attack_type), {})[s.meter_id] = (
+            observed - (preds + pe), (observed - preds) ** 2)
 
-        per_level[level] = _LevelScores(
-            benign_margins=np.concatenate(benign_m) if benign_m else np.empty(0),
-            benign_sqerr=np.concatenate(benign_sq) if benign_sq else np.empty(0),
-            pos_margins={t: np.concatenate(v) for t, v in pos_m.items()},
-            pos_sqerr={t: np.concatenate(v) for t, v in pos_sq.items()},
-        )
-        if level == "SH":
-            per_meter_rates = _macro_rates(meter_pools)
+    def pool(level: str, types) -> tuple[np.ndarray, np.ndarray]:
+        entries = [e for t in types for e in scored.get((level, t), {}).values()]
+        return tuple(np.concatenate([e[i] for e in entries] or [np.empty(0)]) for i in (0, 1))
 
     attack_types = [t for t in atk.ATTACK_TYPES if cfg.mix.get(t, 0.0) > 0]
     if attack_types:
@@ -481,18 +422,35 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
     report_levels: dict = {}
     roc_curves: dict[tuple[str, str], tuple] = {}
     for level in ("SH", "NBH"):
+        neg, neg_sq = pool(level, ["none"])
         pooled = {}
-        for attack_type in report_types:
-            entry, curve = _type_report(per_level[level], attack_type)
-            pooled[attack_type] = entry
-            if curve is not None:
-                roc_curves[(level, attack_type)] = curve
         report_levels[level] = {"pooled": pooled}
-    report_levels["SH"]["macro"] = per_meter_rates
+        for report_type in report_types:
+            pos, pos_sq = pool(level, [t for t in attack_types if report_type in (t, "all")])
+            entry = pooled[report_type] = score_rates(neg, pos)
+            entry["rmse_benign"] = float(np.sqrt(neg_sq.mean())) if neg.size else None
+            entry["rmse_attack"] = float(np.sqrt(pos_sq.mean())) if pos.size else None
+            if pos.size and neg.size:
+                fpr, tpr, entry["auc"] = roc_curve(
+                    np.concatenate([neg, pos]),
+                    np.concatenate([np.zeros(neg.size, bool), np.ones(pos.size, bool)]))
+                roc_curves[(level, report_type)] = (fpr, tpr)
 
+    benign = scored.get(("SH", "none"), {})
+    macro = {}
+    for attack_type in atk.ATTACK_TYPES:
+        rates = [score_rates(benign[m][0], pos)
+                 for m, (pos, _) in scored.get(("SH", attack_type), {}).items()]
+        if rates:
+            macro[attack_type] = {"tpr_mean": float(np.mean([r["tpr"] for r in rates])),
+                                  "fpr_mean": float(np.mean([r["fpr"] for r in rates])),
+                                  "meters": len(rates)}
+    report_levels["SH"]["macro"] = macro
+
+    alerts = Counter(event.kind for _, event in detection["alerts"])
     sh_rmses = [sh_models[m].trained_rmse for m in sorted(sh_models)]
     sh_bytes = [model_bytes[m] for m in sorted(sh_models)]
-    report = {
+    return {
         "seed": cfg.seed,
         "nb_sh": cfg.nb_sh,
         "weeks": cfg.weeks,
@@ -512,46 +470,15 @@ def _score(cfg: ScenarioConfig, parse_counts: dict, removed_counts: dict,
         },
         "levels": report_levels,
         "fusion": detection["fusion"],
-        "alerts": {
-            "sh_anomaly": sum(1 for _, a in detection["alerts"] if a.kind == "sh_anomaly"),
-            "nacr": sum(1 for _, a in detection["alerts"] if a.kind == "nacr"),
-            "attack_confirmed": sum(1 for _, a in detection["alerts"]
-                                    if a.kind == "attack_confirmed"),
-        },
-    }
-    return report, roc_curves
-
-
-def _macro_rates(meter_pools: dict[int, dict]) -> dict:
-    """Average per-meter rates (macro) next to the pooled figures."""
-    per_type: dict[str, dict[str, list]] = {}
-    for meter_id in sorted(meter_pools):
-        pool = meter_pools[meter_id]
-        neg = np.concatenate(pool["neg"]) if pool["neg"] else np.empty(0)
-        for attack_type, chunks in pool["pos"].items():
-            pos = np.concatenate(chunks)
-            rates = _score_rates(neg, pos)
-            acc = per_type.setdefault(attack_type, {"tpr": [], "fpr": []})
-            if rates["tpr"] is not None:
-                acc["tpr"].append(rates["tpr"])
-            if rates["fpr"] is not None:
-                acc["fpr"].append(rates["fpr"])
-    return {
-        t: {
-            "tpr_mean": float(np.mean(v["tpr"])) if v["tpr"] else None,
-            "fpr_mean": float(np.mean(v["fpr"])) if v["fpr"] else None,
-            "meters": len(v["tpr"]),
-        }
-        for t, v in sorted(per_type.items())
-    }
+        "alerts": {kind: alerts[kind] for kind in ("sh_anomaly", "nacr", "attack_confirmed")},
+    }, roc_curves
 
 
 def summary_rows(report: dict) -> list[list]:
     """Detection-summary CSV rows (one per level and attack type)."""
     rows = [SUMMARY_HEADER]
     for level in ("SH", "NBH"):
-        pooled = report["levels"][level]["pooled"]
-        for attack_type, entry in pooled.items():
+        for attack_type, entry in pooled_entries(report, level):
             rows.append([
                 level, attack_type,
                 _fmt(entry.get("rmse_benign")), _fmt(entry.get("rmse_attack")),
@@ -559,6 +486,13 @@ def summary_rows(report: dict) -> list[list]:
                 _fmt(entry.get("tnr")), _fmt(entry.get("fnr")),
             ])
     return rows
+
+
+def pooled_entries(report: dict, level: str) -> list[tuple[str, dict]]:
+    """A level's pooled (attack type, entry) pairs, in ``ATTACK_TYPES`` order
+    and then "all" or "none", whatever order the report's keys are in."""
+    pooled = report["levels"][level]["pooled"]
+    return [(t, pooled[t]) for t in (*atk.ATTACK_TYPES, "all", "none") if t in pooled]
 
 
 def _fmt(v) -> str:

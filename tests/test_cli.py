@@ -406,6 +406,40 @@ def test_train_refuses_edited_derived_column(ingested, tmp_path, capsys, column,
     assert str(path) in err and "line 6" in err and column.split("_or_")[0] in err
 
 
+def _set_field(path: Path, line_no: int, column: str, value: str) -> None:
+    """Overwrite one field of a CSV file, at its 1-based line number."""
+    lines = path.read_text().splitlines()
+    row = lines[line_no - 1].split(",")
+    row[lines[0].split(",").index(column)] = value
+    lines[line_no - 1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kwh", ["nan", "inf", "-1"])
+def test_train_refuses_non_finite_or_negative_kwh(ingested, tmp_path, capsys, kwh):
+    data = tmp_path / "data"
+    shutil.copytree(ingested / "splits", data / "splits")
+    path = data / "splits" / "sh_1_train.csv"
+    _set_field(path, 6, "consumption_kwh", kwh)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), "--seed", "13"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} at line 6" in err and "consumption" in err
+
+
+@pytest.mark.parametrize("kwh", ["nan", "inf", "-1"])
+def test_detect_refuses_non_finite_or_negative_corpus_kwh(corpora, trained, tmp_path, capsys,
+                                                          kwh):
+    corpus = tmp_path / "corpus_sh.csv"
+    shutil.copy(corpora / "corpus_sh.csv", corpus)
+    _set_field(corpus, 6, "attacked_kwh", kwh)
+    capsys.readouterr()
+    assert main(["detect", "--models", str(trained / "models"), "--corpus", str(corpus),
+                 "--level", "sh", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"{corpus} at line 6" in err and "attacked_kwh" in err
+
+
 def test_simulate_deterministic_and_report(tmp_path):
     cfg = {"nb_sh": 3, "weeks": 4, "seed": 5, "jobs": 1}
     config_path = tmp_path / "cfg.json"
@@ -542,7 +576,8 @@ def test_report_missing_run_is_user_error(tmp_path):
 def small_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("small_run")
     config_path = root / "cfg.json"
-    config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4, "seed": 5, "mix": {"t3": 1.0}}))
+    config_path.write_text(json.dumps({"nb_sh": 2, "weeks": 4, "seed": 5,
+                                       "mix": {"t1": 1.0, "t3": 1.0}}))
     assert main(["simulate", "--config", str(config_path), "--out", str(root / "run"),
                  "--benchmark-meters", "0"]) == 0
     return root / "run"
@@ -572,10 +607,16 @@ def test_report_refuses_unverified_run(small_run, tmp_path, capsys, damage, name
 
 
 def test_report_twice_passes_verification(small_run, tmp_path):
+    """``report`` rewrites detection_summary.csv from report.json, whose keys
+    are sorted; the rows keep the order simulate wrote, so the run still
+    matches its manifest and a second report passes."""
     run = tmp_path / "run"
     shutil.copytree(small_run, run)
-    assert main(["report", "--run", str(run)]) == 0
-    assert main(["report", "--run", str(run)]) == 0
+    summary = (run / "detection_summary.csv").read_bytes()
+    assert [line.split(b",")[1] for line in summary.splitlines()[1:4]] == [b"t1", b"t3", b"all"]
+    for _ in range(2):
+        assert main(["report", "--run", str(run)]) == 0
+        assert (run / "detection_summary.csv").read_bytes() == summary
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -637,7 +678,7 @@ def test_roc_csv_equals_csv_writer_text(tmp_path, points):
 
 def test_small_run_roc_csvs_equal_csv_writer_text(small_run):
     paths = sorted(small_run.glob("roc_*.csv"))
-    assert len(paths) == 2      # SH and NBH, t3 only
+    assert len(paths) == 6      # SH and NBH; t1, t3 and all
     for path in paths:
         with open(path, newline="") as fh:
             points = list(csv.DictReader(fh))

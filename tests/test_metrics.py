@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridwatch.metrics import compute_metrics, rates_from_counts, roc_curve
+from gridwatch.metrics import rates_from_counts, roc_curve, score_rates
+
+
+def _margins(predicted, truth):
+    """Margins that alert where ``predicted`` holds, split by ``truth`` into
+    the (benign, attacked) arguments of ``score_rates``."""
+    margins = np.where(np.asarray(predicted, dtype=bool), 1.0, -1.0)
+    truth = np.asarray(truth, dtype=bool)
+    return margins[~truth], margins[truth]
 
 
 def test_all_correct():
-    rates = compute_metrics([True, False, True], [True, False, True])
+    rates = score_rates(*_margins([True, False, True], [True, False, True]))
     assert rates["ac"] == 1.0 and rates["tpr"] == 1.0 and rates["fpr"] == 0.0
 
 
@@ -21,33 +29,35 @@ def test_reference_confusion_counts_reproduce_rates():
 
 
 def test_all_predicted_positive():
-    rates = compute_metrics([True] * 6, [True, True, False, False, False, True])
+    rates = score_rates(*_margins([True] * 6, [True, True, False, False, False, True]))
     assert rates["tpr"] == 1.0 and rates["tnr"] == 0.0
+
+
+def test_zero_margin_does_not_alert():
+    rates = score_rates(np.array([0.0, -0.0, 1e-300]), np.array([0.0, 5e-324, -1.0]))
+    assert (rates["tp"], rates["fn"], rates["fp"], rates["tn"]) == (1, 2, 1, 2)
 
 
 def test_rate_identities():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        predicted = rng.random(50) > 0.5
-        truth = rng.random(50) > 0.5
-        if truth.all() or not truth.any():
-            continue
-        rates = compute_metrics(predicted, truth)
+        neg, pos = rng.normal(size=rng.integers(1, 50)), rng.normal(size=rng.integers(1, 50))
+        rates = score_rates(neg, pos)
         assert rates["tpr"] + rates["fnr"] == pytest.approx(1.0, abs=1e-12)
         assert rates["tnr"] + rates["fpr"] == pytest.approx(1.0, abs=1e-12)
         tp, fn, fp, tn = rates["tp"], rates["fn"], rates["fp"], rates["tn"]
-        assert rates["ac"] == pytest.approx((tp + tn) / 50)
+        assert (tp, fp) == (int((pos > 0).sum()), int((neg > 0).sum()))
+        assert rates["ac"] == pytest.approx((tp + tn) / (neg.size + pos.size))
 
 
 def test_undefined_rates_are_none():
-    rates = compute_metrics([False, False], [False, False])
+    rates = score_rates(np.array([-1.0, -2.0]), np.empty(0))
     assert rates["tpr"] is None and rates["fnr"] is None
     assert rates["fpr"] == 0.0
-
-
-def test_length_mismatch():
-    with pytest.raises(ValueError):
-        compute_metrics([True], [True, False])
+    rates = score_rates(np.empty(0), np.array([1.0]))
+    assert rates["fpr"] is None and rates["tnr"] is None
+    assert rates["tpr"] == 1.0
+    assert score_rates(np.empty(0), np.empty(0))["ac"] is None
 
 
 # ---------------------------------------------------------------------------

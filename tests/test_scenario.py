@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from gridwatch import scenario as scn
+from gridwatch.attacks import ATTACK_TYPES
 from gridwatch.cli import alert_lines
 from gridwatch.detect import (AlertEvent, NbhDetectorState, ShDetectorState, decide,
                               nbh_step, sh_step)
 from gridwatch.errors import ScenarioError
 from gridwatch.ingest import (EPOCH, build_sh_dataset, clean_dataset, feature_vector,
                               parse_raw, split_train_validation)
+from gridwatch.metrics import rates_from_counts, roc_curve
 from gridwatch.scenario import ScenarioConfig, benchmark_models, run_scenario, summary_rows
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, MAX_WEEKS, SynthProfile, expected_kwh,
                              meter_scale, synth_columns, synth_raw_lines, synth_readings)
@@ -169,6 +171,107 @@ def test_scenario_macro_rates_present(small_result):
     for attack_type, entry in macro.items():
         assert entry["meters"] == SMALL.nb_sh
         assert 0.0 <= entry["tpr_mean"] <= 1.0
+
+
+def _reference_rates(neg, pos):
+    tp, fp = int((pos > 0).sum()), int((neg > 0).sum())
+    return rates_from_counts(tp, int(pos.size - tp), fp, int(neg.size - fp))
+
+
+def _reference_levels(cfg, corpus, predictions, sh_models, nbh_model):
+    """The report's ``levels`` and ROC curves as separate accumulators pool
+    them: per level, one benign pool, positives per type in the order the
+    types first appear, and per-meter pools for the SH macro means."""
+    concat = lambda chunks: np.concatenate(chunks) if chunks else np.empty(0)
+    attack_types = [t for t in ATTACK_TYPES if cfg.mix.get(t, 0.0) > 0]
+    report_types = (attack_types + (["all"] if len(attack_types) > 1 else [])
+                    if attack_types else ["none"])
+    levels, curves = {}, {}
+    for level in ("SH", "NBH"):
+        benign_m, benign_sq, pos_m, pos_sq, meter_pools = [], [], {}, {}, {}
+        for variant in corpus.variants:
+            if variant.level != level:
+                continue
+            ls, s = variant.labeled, variant.labeled.base
+            pe = (nbh_model if level == "NBH" else sh_models[s.meter_id]).trained_rmse
+            preds = predictions[(level, s.meter_id)]
+            pool = meter_pools.setdefault(s.meter_id, {"neg": [], "pos": {}})
+            if variant.attack_type == "none":
+                benign_m.append(s.values - (preds + pe))
+                benign_sq.append((s.values - preds) ** 2)
+                pool["neg"].append(benign_m[-1])
+            elif ls.labels.any():
+                mask = ls.labels
+                pos_m.setdefault(variant.attack_type, []).append(
+                    ls.attacked[mask] - (preds[mask] + pe))
+                pos_sq.setdefault(variant.attack_type, []).append(
+                    (ls.attacked[mask] - preds[mask]) ** 2)
+                pool["pos"].setdefault(variant.attack_type, []).append(
+                    pos_m[variant.attack_type][-1])
+        neg, neg_sq = concat(benign_m), concat(benign_sq)
+        pooled = {}
+        for report_type in report_types:
+            if report_type == "all":
+                pos = concat([concat(v) for v in pos_m.values()])
+                sq = concat([concat(v) for v in pos_sq.values()])
+            else:
+                pos, sq = concat(pos_m.get(report_type, [])), concat(pos_sq.get(report_type, []))
+            entry = pooled[report_type] = _reference_rates(neg, pos)
+            entry["rmse_benign"] = float(np.sqrt(neg_sq.mean())) if neg.size else None
+            entry["rmse_attack"] = float(np.sqrt(sq.mean())) if pos.size else None
+            if pos.size and neg.size:
+                fpr, tpr, entry["auc"] = roc_curve(
+                    np.concatenate([neg, pos]),
+                    np.concatenate([np.zeros(neg.size, bool), np.ones(pos.size, bool)]))
+                curves[(level, report_type)] = (fpr, tpr)
+        levels[level] = {"pooled": pooled}
+        if level == "SH":
+            per_type = {}
+            for meter_id in sorted(meter_pools):
+                meter_neg = concat(meter_pools[meter_id]["neg"])
+                for t, chunks in meter_pools[meter_id]["pos"].items():
+                    rates = _reference_rates(meter_neg, concat(chunks))
+                    acc = per_type.setdefault(t, {"tpr": [], "fpr": []})
+                    for key in ("tpr", "fpr"):
+                        if rates[key] is not None:
+                            acc[key].append(rates[key])
+            levels[level]["macro"] = {
+                t: {"tpr_mean": float(np.mean(v["tpr"])) if v["tpr"] else None,
+                    "fpr_mean": float(np.mean(v["fpr"])) if v["fpr"] else None,
+                    "meters": len(v["tpr"])}
+                for t, v in sorted(per_type.items())}
+    return levels, curves
+
+
+@pytest.mark.parametrize("change", [
+    {"mix": {}},
+    {"mix": {"t2": 1.0}},
+    {"mix": {"t1": 0.3, "t4": 0.6}},
+    {"mix": {"t3": 0.1}, "nb_sh": 2},
+    {"counter_mode": "lifetime", "t4_period": 2},
+], ids=["benign_only", "one_type", "partial_mix", "sparse_two_meters", "lifetime"])
+def test_score_equals_separate_pools_bit_for_bit(change):
+    """The score stage's pooled and macro figures and its ROC arrays equal
+    the reference accumulators' bit for bit (``repr`` of every float), and
+    its alert counts equal a scan per kind. Cleaning leaves meter 2 one
+    validation row short, so a macro mean is not its pooled rate, and the
+    "all" RMSEs of the full mix change in the last bits if its types are
+    pooled in reverse."""
+    cfg = dataclasses.replace(ScenarioConfig(nb_sh=4, weeks=8, seed=5, jobs=1), **change)
+    with mock.patch.object(scn, "_score", wraps=scn._score) as spy:
+        result = run_scenario(cfg)
+    *_, sh_models, nbh_model, _, corpus, predictions, detection = spy.call_args.args
+    levels, curves = _reference_levels(cfg, corpus, predictions, sh_models, nbh_model)
+    assert json.dumps(result.report["levels"], sort_keys=True) == \
+        json.dumps(levels, sort_keys=True)
+    for attack_type, entry in levels["SH"]["macro"].items():
+        assert entry["fpr_mean"] != levels["SH"]["pooled"][attack_type]["fpr"]
+    assert result.roc.keys() == curves.keys()
+    for key, (fpr, tpr) in curves.items():
+        assert [a.tobytes() for a in result.roc[key]] == [fpr.tobytes(), tpr.tobytes()]
+    assert result.report["alerts"] == {
+        kind: sum(1 for _, e in detection["alerts"] if e.kind == kind)
+        for kind in ("sh_anomaly", "nacr", "attack_confirmed")}
 
 
 def test_scenario_fusion_confirms_attacks(small_result):
