@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .ingest import Dataset, clock_hour, date_of, day_code_of
+from .ingest import EPOCH, Dataset, dates_of, day_code_of, interval_codes, iso_dates
 
 log = logging.getLogger(__name__)
 
@@ -136,9 +136,9 @@ def series_from_dataset(ds: Dataset) -> Series:
     return Series(ds.chronological())
 
 
-def _day_rng(spec: AttackSpec, meter_id: int | None, date: dt.date) -> np.random.Generator:
-    day_code = date.toordinal()
-    seq = np.random.SeedSequence((spec.seed, meter_id or 0, day_code, _TYPE_CODE[spec.attack_type]))
+def _day_rng(spec: AttackSpec, meter_id: int | None, day: int) -> np.random.Generator:
+    ordinal = EPOCH.toordinal() - 1 + day     # date_of(day).toordinal()
+    seq = np.random.SeedSequence((spec.seed, meter_id or 0, ordinal, _TYPE_CODE[spec.attack_type]))
     return np.random.default_rng(seq)
 
 
@@ -151,8 +151,7 @@ def apply_attack(series: Series, spec: AttackSpec) -> LabeledSeries:
     step_day, step_interval = np.diff(ds.day), np.diff(ds.interval)
     if not ((step_day > 0) | ((step_day == 0) & (step_interval > 0))).all():
         raise ContractViolation("series is not strictly chronological")
-    intervals, inverse = np.unique(ds.interval, return_inverse=True)
-    hour = np.array([clock_hour(i, series.kind) for i in intervals.tolist()])[inverse]
+    hour = interval_codes(ds.interval, series.kind)[:, 0]
     starts = np.flatnonzero(np.diff(ds.day, prepend=ds.day[0] - 1))
     ends = np.append(starts[1:], len(ds))
 
@@ -166,7 +165,7 @@ def apply_attack(series: Series, spec: AttackSpec) -> LabeledSeries:
 
     factors = []
     for day, lo, hi in zip(ds.day[starts].tolist(), starts.tolist(), ends.tolist()):
-        rng = _day_rng(spec, series.meter_id, date_of(day))
+        rng = _day_rng(spec, series.meter_id, day)
         if spec.attack_type == "t2":
             start = int(rng.integers(0, 24 - spec.min_off_time))
             end = min(start + int(rng.integers(spec.min_off_time, 24)), 23)
@@ -233,7 +232,7 @@ def generate_corpus(
     if nbh_dataset is not None and len(nbh_dataset):
         series.append(("NBH", series_from_dataset(nbh_dataset)))
     days = np.unique(np.concatenate([s.data.day for _, s in series] + [np.empty(0, np.int64)]))
-    dates = [date_of(d) for d in days.tolist()]
+    dates = dates_of(days)
     attack_days = {t: [day_code_of(d) for d in select_attack_dates(dates, mix[t], seed, t)]
                    for t in ATTACK_TYPES if mix.get(t, 0.0) > 0}
 
@@ -266,11 +265,9 @@ def corpus_csv_rows(corpus: Corpus) -> Iterator[str]:
         if ls.base is not base:
             base, ds = ls.base, ls.base.data
             meter = "" if ds.meter_id is None else ds.meter_id
-            table = ds._day_table()
-            day_text = [f"{meter},{date.isoformat()}," for date in table.dates]
             base_text = list(map(repr, ds.kwh.tolist()))
-            heads = [f"{day_text[d]}{i},{b},"
-                     for d, i, b in zip(table.inverse.tolist(), ds.interval.tolist(), base_text)]
+            heads = [f"{meter},{d},{i},{b},"
+                     for d, i, b in zip(iso_dates(ds.day), ds.interval.tolist(), base_text)]
         attacked = np.asarray(ls.attacked, dtype=np.float64)
         text = base_text.copy()
         changed = np.flatnonzero(attacked.view(np.uint64) != ds.kwh.view(np.uint64))

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SequencingError
-from .ingest import FeatureVector, date_of, day_code_of
+from .ingest import FeatureVector, date_of, dates_of, day_code_of
 from .trees import TreeModel, predict
 
 DEFAULT_NBR_INCR = 2
@@ -191,8 +191,8 @@ def replay(state: _DetectorState, dates: Sequence[int], intervals: Sequence[int]
     else:
         fired = np.array(_count(state, exceeded, days.size), dtype=np.int64)
         kind, meter_id, interval_kind = "sh_anomaly", state.meter_id, "hour"
-    return [(i, AlertEvent(kind, meter_id, date_of(d), interval, interval_kind, o, p, state.pe))
-            for i, d, interval, o, p in zip(fired.tolist(), days[fired].tolist(),
+    return [(i, AlertEvent(kind, meter_id, d, interval, interval_kind, o, p, state.pe))
+            for i, d, interval, o, p in zip(fired.tolist(), dates_of(days[fired]),
                                             intervals[fired].tolist(), observed[fired].tolist(),
                                             predicted[fired].tolist())]
 

@@ -12,10 +12,10 @@ portions by whole weeks (one validation week per four-week block).
 
 Readings and datasets are held as numpy columns: ``Readings`` has meter id,
 day code, slot and kWh; ``Dataset`` has day code, interval and kWh. The
-calendar attributes are never stored: they are gathered from one per-date
-derivation (``_calendar``) and one per-interval derivation (``_day_period``),
-the same two functions ``feature_vector`` uses, so a column and a
-``FeatureVector`` of the same (date, interval) always agree.
+calendar attributes are never stored: ``Dataset.calendar`` computes month
+and day type by ``datetime64`` arithmetic from day code 0 (``_DAY0``), and
+day period and season from tables built once from the scalar rules that
+``feature_vector`` uses (``_day_period``, ``season_of_month``).
 
 ``parse_raw`` reads its input in chunks. A chunk whose every line is
 canonical (``<digits> <5 digits> <digits>.<digits>``, one space apart, an
@@ -48,6 +48,7 @@ from .errors import ContractViolation, RangeError, SplitError, UserInputError
 log = logging.getLogger(__name__)
 
 EPOCH = dt.date(2009, 1, 1)  # day code 1
+_DAY0 = np.datetime64(EPOCH, "D") - 1   # day code 0: _DAY0 + code is a datetime64[D]
 SLOTS_PER_DAY = 48
 HOURS_PER_DAY = 24
 
@@ -159,22 +160,13 @@ def _as_readings(readings: Readings | Iterable[MeterReading]) -> Readings:
     return Readings.from_records(readings)
 
 
-@dataclasses.dataclass(frozen=True)
-class _DayTable:
-    """The calendar of a day-code column: one entry per distinct day code."""
-
-    inverse: np.ndarray                      # row -> index of its day in the table
-    dates: list[dt.date]
-    attributes: list[tuple[str, int, str]]   # (day_type, month, season) of each date
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class Dataset:
     """The rows of one monitoring level as columns, in row order.
 
-    The calendar attributes of a row are derived from its day code and
-    interval (see ``calendar``); ``rows`` renders the rows as feature
-    vectors for the per-observation API.
+    The calendar attributes of a row are computed from its day code and
+    interval, a whole column at a time (see ``calendar``); ``rows``
+    renders the rows as feature vectors for the per-observation API.
     """
 
     level: str                      # "SH" | "NBH"
@@ -218,30 +210,18 @@ class Dataset:
 
     def dates(self) -> list[dt.date]:
         """The date of every row."""
-        table = self._day_table()
-        return [table.dates[d] for d in table.inverse.tolist()]
-
-    def _day_table(self) -> _DayTable:
-        days, inverse = np.unique(self.day, return_inverse=True)
-        dates = [date_of(d) for d in days.tolist()]
-        return _DayTable(inverse, dates, [_calendar(d) for d in dates])
-
-    def _day_periods(self) -> np.ndarray:
-        """Per row, the index into DAY_PERIODS of its interval."""
-        intervals, inverse = np.unique(self.interval, return_inverse=True)
-        kind = self.interval_kind
-        codes = [DAY_PERIODS.index(_day_period(i, kind)) for i in intervals.tolist()]
-        return np.array(codes, dtype=np.int64)[inverse]
+        return dates_of(self.day)
 
     def calendar(self) -> dict[str, np.ndarray]:
         """Per-row codes of the derived attributes: day_period (DAY_PERIODS
-        index), day_type (DAY_TYPES index), month, season (SEASONS index)."""
-        table = self._day_table()
-        per_day = np.array([(DAY_TYPES.index(t), m, SEASONS.index(s))
-                            for t, m, s in table.attributes], dtype=np.int64).reshape(-1, 3)
-        per_row = per_day[table.inverse]
-        return {"day_period": self._day_periods(), "day_type": per_row[:, 0],
-                "month": per_row[:, 1], "season": per_row[:, 2]}
+        index), day_type (DAY_TYPES index), month, season (SEASONS index).
+        An interval outside the level's range raises as ``clock_hour``."""
+        days = _DAY0 + self.day
+        month = days.astype("M8[M]").view(np.int64) % 12 + 1
+        weekend = (days.view(np.int64) + 3) % 7 >= 5     # 1970-01-01 was a Thursday
+        return {"day_period": interval_codes(self.interval, self.interval_kind)[:, 1],
+                "day_type": weekend.astype(np.int64), "month": month,
+                "season": _SEASON_OF_MONTH[month]}
 
     def calendar_key(self) -> np.ndarray:
         """Per row, its calendar key code (``calendar_code``): its index into
@@ -280,6 +260,16 @@ class BuildReport:
 
 def date_of(day_code: int) -> dt.date:
     return EPOCH + dt.timedelta(days=day_code - 1)
+
+
+def dates_of(day_codes: np.ndarray | Sequence[int]) -> list[dt.date]:
+    """``date_of`` of each day code of an int array or sequence."""
+    return (_DAY0 + np.asarray(day_codes, dtype=np.int64)).tolist()
+
+
+def iso_dates(day_codes: np.ndarray) -> list[str]:
+    """The ISO text (``date.isoformat()``) of each day code of an int array."""
+    return np.datetime_as_string(_DAY0 + day_codes).tolist()
 
 
 def day_code_of(date: dt.date) -> int:
@@ -330,7 +320,7 @@ def season_of_month(month: int) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def _calendar(date: dt.date) -> tuple[str, int, str]:
-    """(day_type, month, season) of a date: the one per-date derivation.
+    """(day_type, month, season) of a date, for ``feature_vector``.
 
     Cached (immutable results, at most 4096 dates, over eleven years) because
     every streamed observation asks for it."""
@@ -340,10 +330,29 @@ def _calendar(date: dt.date) -> tuple[str, int, str]:
 
 @functools.cache
 def _day_period(interval: int, kind: str) -> str:
-    """"day" or "night" of an hour/slot interval: the one per-interval derivation.
+    """"day" or "night" of an hour/slot interval: the one per-interval rule.
 
     Cached: only the 72 valid (interval, kind) pairs return, the rest raise."""
     return "day" if DAY_START_HOUR <= clock_hour(interval, kind) <= DAY_END_HOUR else "night"
+
+
+# Per interval kind, row i: interval i's clock hour and DAY_PERIODS code (row 0 is no interval's)
+_INTERVAL_ROWS = {
+    kind: np.array([(0, 0)] + [(clock_hour(i, kind), DAY_PERIODS.index(_day_period(i, kind)))
+                               for i in range(1, count + 1)])
+    for kind, count in (("hour", HOURS_PER_DAY), ("slot", SLOTS_PER_DAY))}
+# SEASONS code of each month 1..12 (entry 0 is no month's)
+_SEASON_OF_MONTH = np.array([0] + [SEASONS.index(season_of_month(m)) for m in range(1, 13)])
+
+
+def interval_codes(interval: np.ndarray, kind: str) -> np.ndarray:
+    """Per interval of an int array, its (clock hour, DAY_PERIODS code) row;
+    the first interval outside the kind's range raises as ``clock_hour``."""
+    rows = _INTERVAL_ROWS[kind]
+    outside = (interval < 1) | (interval >= len(rows))
+    if outside.any():
+        clock_hour(int(interval[outside][0]), kind)     # raises
+    return rows.take(interval, axis=0)
 
 
 def calendar_code(interval, day_period, day_type, month):
@@ -357,9 +366,8 @@ def calendar_grid() -> dict[str, np.ndarray]:
     """The attribute codes of every calendar key, as ``Dataset.calendar``
     gives them plus the interval, in code order (interval 0 is no reading's)."""
     interval, period, day_type, month = np.indices((SLOTS_PER_DAY + 1, 2, 2, 12)).reshape(4, -1)
-    season = np.array([SEASONS.index(season_of_month(m)) for m in range(1, 13)])[month]
     return {"interval": interval, "day_period": period, "day_type": day_type,
-            "month": month + 1, "season": season}
+            "month": month + 1, "season": _SEASON_OF_MONTH[month + 1]}
 
 
 def feature_vector(date: dt.date, interval: int, kind: str, consumption: float) -> FeatureVector:
@@ -563,7 +571,7 @@ def build_sh_dataset(readings: Readings | Iterable[MeterReading]) -> tuple[Datas
 
     ds = Dataset("SH", meter_id, day[pairs], hour[pairs], kwh[pairs] + kwh[pairs + 1],
                  SH_ATTRIBUTES)
-    flagged = [(date_of(d), h) for d, h in zip(day[lone].tolist(), hour[lone].tolist())]
+    flagged = list(zip(dates_of(day[lone]), hour[lone].tolist()))
     return ds, BuildReport(flagged, len(r) - keys.size)
 
 
@@ -592,7 +600,7 @@ def build_nbh_dataset(readings: Readings | Iterable[MeterReading]) -> tuple[Data
 
     day, slot = np.divmod(slot_key[starts], 100)
     partial = counts < n_meters
-    flagged = [(date_of(d), s) for d, s in zip(day[partial].tolist(), slot[partial].tolist())]
+    flagged = list(zip(dates_of(day[partial]), slot[partial].tolist()))
     ds = Dataset("NBH", None, day, slot, total, NBH_ATTRIBUTES)
     return ds, BuildReport(flagged, len(r) - slot_key.size)
 
@@ -668,17 +676,17 @@ def _row_lines(ds: Dataset, tail: str = "\r\n") -> list[str]:
 
     The ``interval`` column holds the interval kind ("hour" for SH, "slot"
     for NBH) and ``hour_or_slot`` holds its number. Lines are what
-    ``csv.writer`` writes for these fields (no field needs quoting),
-    gathered from per-day and per-interval text.
+    ``csv.writer`` writes for these fields (no field needs quoting).
     """
     meter = "" if ds.meter_id is None else ds.meter_id
-    table = ds._day_table()
-    day_text = [f"{ds.level},{meter},{date.isoformat()},{ds.interval_kind},"
-                for date in table.dates]
-    cal_text = [f",{day_type},{month},{season}," for day_type, month, season in table.attributes]
-    return [f"{day_text[d]}{i},{DAY_PERIODS[p]}{cal_text[d]}{k!r}{tail}"
-            for d, i, p, k in zip(table.inverse.tolist(), ds.interval.tolist(),
-                                  ds._day_periods().tolist(), ds.kwh.tolist())]
+    head = f"{ds.level},{meter},"
+    kind_text = f",{ds.interval_kind},"
+    cal = ds.calendar()
+    return [f"{head}{d}{kind_text}{i},{DAY_PERIODS[p]},{DAY_TYPES[t]},{m},{SEASONS[s]},{k!r}{tail}"
+            for d, i, p, t, m, s, k in zip(iso_dates(ds.day), ds.interval.tolist(),
+                                           cal["day_period"].tolist(), cal["day_type"].tolist(),
+                                           cal["month"].tolist(), cal["season"].tolist(),
+                                           ds.kwh.tolist())]
 
 
 def _write_lines(path: str | Path, header: list[str], lines: Iterable[str]) -> None:
@@ -786,29 +794,27 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     kind = "hour" if level == "SH" else "slot"
 
     dates = columns["date"]
-    parsed: dict[str, dt.date] = {}
-    for i, text in enumerate(dates):
-        if text not in parsed:
-            try:
-                parsed[text] = dt.date.fromisoformat(text)
-            except ValueError as exc:
-                raise fail(i, f"missing column or bad value {exc}") from exc
+    codes: dict[str, int] = {}
+    for text in dict.fromkeys(dates):   # distinct, in row order
+        try:
+            codes[text] = day_code_of(dt.date.fromisoformat(text))
+        except ValueError as exc:
+            raise fail(dates.index(text), f"missing column or bad value {exc}") from exc
     intervals = convert("hour_or_slot", int)
-    periods: dict[int, str] = {}
-    for i, interval in enumerate(intervals):
-        if interval not in periods:
-            try:
-                periods[interval] = _day_period(interval, kind)
-            except RangeError as exc:
-                raise fail(i, str(exc)) from exc
+    for interval in dict.fromkeys(intervals):
+        try:
+            clock_hour(interval, kind)
+        except RangeError as exc:
+            raise fail(intervals.index(interval), str(exc)) from exc
 
-    calendar = {text: _calendar(date) for text, date in parsed.items()}
-    derived = {"day_period": [periods[i] for i in intervals],
-               "day_type": [calendar[t][0] for t in dates],
-               "month": [str(calendar[t][1]) for t in dates],
-               "season": [calendar[t][2] for t in dates]}
-    for name, want in derived.items():
-        got = columns[name]
+    # the kWh column is checked after the derived ones
+    ds = Dataset(level, meter_id, np.array([codes[t] for t in dates], dtype=np.int64),
+                 np.array(intervals, dtype=np.int64), np.zeros(len(dates)),
+                 NBH_ATTRIBUTES if level == "NBH" else SH_ATTRIBUTES)
+    calendar = ds.calendar()
+    for name, texts in (("day_period", DAY_PERIODS), ("day_type", DAY_TYPES),
+                        ("month", [str(m) for m in range(13)]), ("season", SEASONS)):
+        got, want = columns[name], [texts[c] for c in calendar[name].tolist()]
         if got != want:
             i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
             raise fail(i, f"{name} {got[i]!r} does not match date {dates[i]} and {kind} "
@@ -818,8 +824,4 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     bad = np.flatnonzero(~(np.isfinite(kwh) & (kwh >= 0)))
     if bad.size:
         raise fail(int(bad[0]), kwh_fault(float(kwh[bad[0]])))
-    day_codes = {text: day_code_of(date) for text, date in parsed.items()}
-    return Dataset(level, meter_id,
-                   np.array([day_codes[t] for t in dates], dtype=np.int64),
-                   np.array(intervals, dtype=np.int64), kwh,
-                   NBH_ATTRIBUTES if level == "NBH" else SH_ATTRIBUTES)
+    return dataclasses.replace(ds, kwh=kwh)

@@ -35,7 +35,7 @@ from .detect import (DEFAULT_N_WINDOW, DEFAULT_NBR_INCR, AlertEvent, NbhDetector
                      ShDetectorState, check_counter, confirms, replay)
 from .errors import ScenarioError
 from .ingest import (Dataset, ParseResult, Readings, build_nbh_dataset, build_sh_dataset,
-                     clean_dataset, date_of, group_by_meter, open_raw, parse_raw,
+                     clean_dataset, dates_of, group_by_meter, open_raw, parse_raw,
                      split_train_validation, wire_kwh)
 from .metrics import roc_curve, score_rates
 from .synth import MAX_WEEKS, SynthProfile, synth_columns
@@ -371,8 +371,8 @@ def _detect(corpus: atk.Corpus, predictions: dict[tuple, np.ndarray],
         hit = np.flatnonzero(confirms(np.isin(ticks, np.concatenate(nacr[attack_type])),
                                       np.minimum(nb_alert, nb_sh), nb_sh))
         day, slot = nbh_base.day[hit], nbh_base.interval[hit]
-        events = [AlertEvent("attack_confirmed", None, date_of(d), i, "slot", 0.0, 0.0, 0.0)
-                  for d, i in zip(day.tolist(), slot.tolist())]
+        events = [AlertEvent("attack_confirmed", None, d, i, "slot", 0.0, 0.0, 0.0)
+                  for d, i in zip(dates_of(day), slot.tolist())]
         add(attack_type, events, "attack_confirmed", day * 1440 + (slot - 1) * 30, 0)
         fusion[attack_type] = {
             "ticks": len(nbh_base),

@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ingest import SLOTS_PER_DAY, MeterReading, Readings, date_of, encode_timestamp
+from .ingest import SLOTS_PER_DAY, MeterReading, Readings, dates_of, encode_timestamp
 
 # day code 5 = Monday 2009-01-05
 DEFAULT_START_DAY_CODE = 5
@@ -101,7 +101,7 @@ def _meter_kwh(profile: SynthProfile, seed: int, meter_id: int,
     the scalar helpers of ``expected_kwh``, once per (weekend, slot) and once
     per day, and are multiplied elementwise.
     """
-    dates = [date_of(d) for d in day_codes]
+    dates = dates_of(day_codes)
     shapes = np.array([[_shape(profile, weekend, slot) for slot in range(1, SLOTS_PER_DAY + 1)]
                        for weekend in (False, True)])
     weekend = np.array([date.weekday() >= 5 for date in dates], dtype=np.intp)

@@ -14,13 +14,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridwatch import ingest
-from gridwatch.ingest import (EPOCH, FeatureVector, MeterReading, build_nbh_dataset,
-                              build_sh_dataset, clean_dataset, group_by_meter, parse_raw,
-                              split_train_validation, wire_kwh)
+from gridwatch.errors import RangeError
+from gridwatch.ingest import (DAY_PERIODS, DAY_TYPES, EPOCH, HOURS_PER_DAY, NBH_ATTRIBUTES,
+                              SEASONS, SH_ATTRIBUTES, SLOTS_PER_DAY, Dataset, FeatureVector,
+                              MeterReading, build_nbh_dataset, build_sh_dataset, calendar_code,
+                              clean_dataset, date_of, day_code_of, feature_vector,
+                              group_by_meter, parse_raw, read_dataset_csv,
+                              split_train_validation, wire_kwh, write_dataset_csv)
 from gridwatch.scenario import ScenarioConfig, _ingest
 from gridwatch.synth import (DEFAULT_START_DAY_CODE, SynthProfile, expected_kwh, meter_scale,
                              synth_columns, synth_raw_lines, synth_readings)
@@ -414,3 +418,77 @@ def test_synthetic_ingest_refuses_a_profile_that_overflows():
     assert parse_raw(synth_raw_lines(cfg.profile, 1, 4, cfg.seed)).issues   # "inf" lines
     with pytest.raises(ValueError, match="non-finite"):
         _ingest(cfg)
+
+
+# ---------------------------------------------------------------------------
+# (e) calendar: the column arithmetic equals the per-date derivation
+
+def _interval_dataset(day_codes, kind: str, intervals=None) -> Dataset:
+    """A dataset on the given day codes; intervals cycle through the kind's range."""
+    day = np.asarray(day_codes, dtype=np.int64)
+    if intervals is None:
+        intervals = np.arange(day.size) % (HOURS_PER_DAY if kind == "hour" else SLOTS_PER_DAY) + 1
+    level, attributes = ("SH", SH_ATTRIBUTES) if kind == "hour" else ("NBH", NBH_ATTRIBUTES)
+    return Dataset(level, 1 if level == "SH" else None, day,
+                   np.asarray(intervals, dtype=np.int64), np.zeros(day.size), attributes)
+
+
+def _check_calendar(day_codes, kind: str) -> None:
+    ds = _interval_dataset(day_codes, kind)
+    dates = [date_of(d) for d in ds.day.tolist()]
+    want = [(DAY_PERIODS.index(ingest._day_period(i, kind)), DAY_TYPES.index(t), m,
+             SEASONS.index(s))
+            for i, (t, m, s) in zip(ds.interval.tolist(), map(ingest._calendar, dates))]
+    cal = ds.calendar()
+    got = zip(*(cal[name].tolist() for name in ("day_period", "day_type", "month", "season")))
+    assert list(got) == want
+    assert ds.dates() == dates
+    assert ingest.iso_dates(ds.day) == [d.isoformat() for d in dates]
+
+
+@pytest.mark.parametrize("kind", ["hour", "slot"])
+def test_calendar_equals_the_per_date_derivation_on_every_day(kind):
+    _check_calendar(range(-1000, 6001), kind)
+
+
+LEAP_EDGES = [dt.date(y, m, d) for y in (1900, 2000, 2100) for m, d in ((2, 28), (2, 29), (3, 1))
+              if (m, d) != (2, 29) or y == 2000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dates(), min_size=1, max_size=60), st.sampled_from(["hour", "slot"]))
+@example(LEAP_EDGES, "hour")
+@example(LEAP_EDGES, "slot")
+@example([dt.date.min, dt.date.max, EPOCH - dt.timedelta(days=1)], "slot")
+def test_calendar_equals_the_per_date_derivation_over_years_1_to_9999(dates, kind):
+    _check_calendar([day_code_of(d) for d in dates], kind)
+
+
+@pytest.mark.parametrize("kind, interval", [("hour", 0), ("hour", 25), ("hour", -1),
+                                            ("slot", 0), ("slot", 49), ("slot", -1)])
+def test_calendar_refuses_an_interval_outside_its_range(kind, interval):
+    ds = _interval_dataset([5, 5, 6], kind, [1, interval, 2])
+    with pytest.raises(RangeError, match=f"{kind} {interval} outside"):
+        ds.calendar()
+
+
+@pytest.mark.parametrize("kind", ["hour", "slot"])
+def test_dataset_csv_keeps_dates_outside_the_raw_day_codes(tmp_path, kind):
+    """Day code 0 (2008-12-31), a date past code 999 and 0001-01-01 round-trip
+    through the dataset CSV, and their calendar keys are their vectors'."""
+    dates = [dt.date(2008, 12, 31), dt.date(2019, 6, 1), dt.date(1, 1, 1)]
+    last = HOURS_PER_DAY if kind == "hour" else SLOTS_PER_DAY
+    rows = [(day_code_of(d), i) for d in dates for i in (1, 8, 23, last)]
+    ds = _interval_dataset([d for d, _ in rows], kind, [i for _, i in rows])
+    ds = dataclasses.replace(ds, kwh=np.linspace(0.125, 3.5, len(rows)))
+    assert ds.day[:4].tolist() == [0] * 4
+    write_dataset_csv(ds, tmp_path / "a.csv")
+    back = read_dataset_csv(tmp_path / "a.csv")
+    write_dataset_csv(back, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (back.day.tolist(), back.interval.tolist()) == (ds.day.tolist(), ds.interval.tolist())
+    assert bits(back.kwh) == bits(ds.kwh)
+    want = [calendar_code(fv.interval, DAY_PERIODS.index(fv.day_period),
+                          DAY_TYPES.index(fv.day_type), fv.month)
+            for fv in (feature_vector(date_of(d), i, kind, 0.0) for d, i in rows)]
+    assert back.calendar_key().tolist() == want
